@@ -1,7 +1,6 @@
 package trust
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -124,12 +123,8 @@ func (c *Collector) SubmitBatch(rs []Reading, outs []SubmitOutcome) []SubmitOutc
 				}
 			}
 		}
-		if _, ok := c.Ledger.Node(r.Node); !ok {
-			outs[i].Err = fmt.Errorf("trust: node %s not registered", r.Node)
-			continue
-		}
-		if r.SignalID == "" {
-			outs[i].Err = fmt.Errorf("trust: reading needs a signal ID")
+		if err := c.validate(r); err != nil {
+			outs[i].Err = err
 			continue
 		}
 		if r.Key == "" {

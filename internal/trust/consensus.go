@@ -1,8 +1,10 @@
 package trust
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -83,13 +85,22 @@ func (d *Detector) CheckEpoch(e Epoch) []Anomaly {
 	if len(e.Readings) < 3 {
 		return nil // no meaningful consensus
 	}
+	// The two largest readings answer every node's leave-one-out maximum:
+	// the runner-up for a node that holds the maximum, the maximum for
+	// everyone else (a tie at the top makes the two equal).
+	top, second := math.Inf(-1), math.Inf(-1)
+	for _, v := range e.Readings {
+		if v > top {
+			top, second = v, top
+		} else if v > second {
+			second = v
+		}
+	}
 	var out []Anomaly
 	for id, v := range e.Readings {
-		maxOther := math.Inf(-1)
-		for other, ov := range e.Readings {
-			if other != id && ov > maxOther {
-				maxOther = ov
-			}
+		maxOther := top
+		if v == top {
+			maxOther = second
 		}
 		bound := maxOther + d.UpperBoundMarginDB
 		if v > bound {
@@ -112,52 +123,51 @@ func (d *Detector) CheckEpoch(e Epoch) []Anomaly {
 // transmitter and propagation conditions, and every honest node's series
 // tracks those fluctuations up to an additive offset. A fabricated series
 // doesn't know the fluctuations and decorrelates.
+//
+// This is the stateless form: a fresh corrState folded over every epoch.
+// The collector keeps one corrState per signal and folds each closed epoch
+// into it once.
 func (d *Detector) CheckCorrelation(epochs []Epoch) []Anomaly {
+	var cs corrState
+	return cs.check(d, epochs)
+}
+
+// corrSums are one node's running Pearson sums against its leave-one-out
+// consensus: a is the node's reading, b the median of everyone else's in
+// the same epoch.
+type corrSums struct {
+	n                     int
+	sa, sb, saa, sbb, sab float64
+}
+
+// corrState is the correlation check's memory of one signal: the sums of
+// every node over epochs[:folded]. It is a pure cache of that prefix —
+// sums accumulate in epoch order, exactly as a recomputation from the
+// first epoch would — so dropping it loses nothing but time.
+type corrState struct {
+	folded int
+	sums   map[NodeID]*corrSums
+	ids    []NodeID    // keys of sums, ascending: the report order
+	ranked []nodeValue // fold's scratch
+}
+
+type nodeValue struct {
+	id NodeID
+	v  float64
+}
+
+// check folds the epochs not yet folded and reports every node whose
+// series has decorrelated from its leave-one-out consensus.
+func (cs *corrState) check(d *Detector, epochs []Epoch) []Anomaly {
+	for ; cs.folded < len(epochs); cs.folded++ {
+		cs.fold(epochs[cs.folded])
+	}
 	if len(epochs) < d.MinEpochs {
 		return nil
 	}
-	// Per-node series, plus the set of participating nodes.
-	perNode := map[NodeID][]float64{}
-	for i, e := range epochs {
-		for id, v := range e.Readings {
-			series, ok := perNode[id]
-			if !ok {
-				series = make([]float64, len(epochs))
-				for k := range series {
-					series[k] = math.NaN()
-				}
-			}
-			series[i] = v
-			perNode[id] = series
-		}
-	}
-	// Leave-one-out consensus: when scoring node X, the reference median
-	// excludes X's own readings so a fabricator cannot drag the consensus
-	// toward itself.
-	looConsensus := func(exclude NodeID) []float64 {
-		out := make([]float64, len(epochs))
-		for i, e := range epochs {
-			vals := make([]float64, 0, len(e.Readings))
-			for id, v := range e.Readings {
-				if id == exclude {
-					continue
-				}
-				vals = append(vals, v)
-			}
-			med, _ := mad(vals)
-			out[i] = med
-		}
-		return out
-	}
 	var out []Anomaly
-	ids := make([]NodeID, 0, len(perNode))
-	for id := range perNode {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		series := perNode[id]
-		r, n := pearson(series, looConsensus(id))
+	for _, id := range cs.ids {
+		r, n := cs.sums[id].pearson()
 		if n < d.MinEpochs {
 			continue
 		}
@@ -183,52 +193,98 @@ func (d *Detector) CheckCorrelation(epochs []Epoch) []Anomaly {
 	return out
 }
 
-// pearson computes the correlation of two series, skipping NaN entries in
-// a. It returns the coefficient and the number of points used.
-func pearson(a, b []float64) (float64, int) {
-	var sa, sb, saa, sbb, sab float64
-	n := 0
-	for i := range a {
-		if math.IsNaN(a[i]) {
-			continue
+// fold adds one epoch to every participant's sums, from one sort of the
+// epoch by value.
+func (cs *corrState) fold(e Epoch) {
+	if cs.sums == nil {
+		cs.sums = make(map[NodeID]*corrSums)
+	}
+	ranked := cs.ranked[:0]
+	for id, v := range e.Readings {
+		ranked = append(ranked, nodeValue{id, v})
+	}
+	// NaN sorts first, as in sort.Float64s.
+	slices.SortFunc(ranked, func(x, y nodeValue) int { return cmp.Compare(x.v, y.v) })
+	cs.ranked = ranked
+	for i, nv := range ranked {
+		s := cs.sums[nv.id]
+		if s == nil {
+			s = new(corrSums)
+			cs.sums[nv.id] = s
+			at, _ := slices.BinarySearch(cs.ids, nv.id)
+			cs.ids = slices.Insert(cs.ids, at, nv.id)
 		}
-		n++
-		sa += a[i]
-		sb += b[i]
-		saa += a[i] * a[i]
-		sbb += b[i] * b[i]
-		sab += a[i] * b[i]
+		if math.IsNaN(nv.v) {
+			continue // not a point of this node's series
+		}
+		s.add(nv.v, looMedian(ranked, i))
 	}
-	if n < 2 {
-		return 0, n
+}
+
+// looMedian is the reference a node is correlated against: the median of
+// an epoch's readings without the node's own (leave-one-out, so a
+// fabricator cannot drag the consensus toward itself), 0 when it is
+// alone. ranked is sorted by value and skip is the node's rank; taking
+// that reading out moves every later rank down by one.
+func looMedian(ranked []nodeValue, skip int) float64 {
+	n := len(ranked) - 1
+	if n == 0 {
+		return 0
 	}
-	fn := float64(n)
-	cov := sab/fn - sa/fn*sb/fn
-	va := saa/fn - sa/fn*sa/fn
-	vb := sbb/fn - sb/fn*sb/fn
+	at := func(rank int) float64 {
+		if rank >= skip {
+			rank++
+		}
+		return ranked[rank].v
+	}
+	if n%2 == 1 {
+		return at(n / 2)
+	}
+	return (at(n/2-1) + at(n/2)) / 2
+}
+
+// add appends one point (a, b) to the summed series.
+func (s *corrSums) add(a, b float64) {
+	s.n++
+	s.sa += a
+	s.sb += b
+	s.saa += a * a
+	s.sbb += b * b
+	s.sab += a * b
+}
+
+// pearson returns the correlation coefficient of the summed series and
+// the number of points in it.
+func (s *corrSums) pearson() (float64, int) {
+	if s.n < 2 {
+		return 0, s.n
+	}
+	fn := float64(s.n)
+	cov := s.sab/fn - s.sa/fn*s.sb/fn
+	va := s.saa/fn - s.sa/fn*s.sa/fn
+	vb := s.sbb/fn - s.sb/fn*s.sb/fn
 	if va <= 1e-12 || vb <= 1e-12 {
 		// A perfectly flat series carries no information; treat as
 		// uncorrelated (fabricators often submit constants).
-		return 0, n
+		return 0, s.n
 	}
-	return cov / math.Sqrt(va*vb), n
+	return cov / math.Sqrt(va*vb), s.n
 }
 
 // Apply folds anomalies into the ledger: each flagged node records a
 // verdict scaled by severity; unflagged participants of the epochs record
 // a clean verdict.
 func Apply(l *Ledger, participants []NodeID, anomalies []Anomaly) {
-	flagged := map[NodeID]float64{}
+	var flagged map[NodeID]float64 // nil, which reads as 0, for a clean epoch
+	if len(anomalies) > 0 {
+		flagged = make(map[NodeID]float64, len(anomalies))
+	}
 	for _, a := range anomalies {
 		if a.Severity > flagged[a.Node] {
 			flagged[a.Node] = a.Severity
 		}
 	}
 	for _, id := range participants {
-		if sev, ok := flagged[id]; ok {
-			l.Record(id, 1-sev)
-		} else {
-			l.Record(id, 1)
-		}
+		l.Record(id, 1-flagged[id])
 	}
 }

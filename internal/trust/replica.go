@@ -164,23 +164,31 @@ func MergeDrained(drains ...[]Epoch) []Epoch {
 func (c *Collector) CloseDrained(cutoff time.Time, epochs []Epoch) ([]Anomaly, []ScoreUpdate) {
 	var all []Anomaly
 	final := make(map[NodeID]Score)
+	var participants []NodeID // in no particular order: nodes are scored independently
 	for i := range epochs {
 		e := epochs[i]
 		anomalies := c.Detector.CheckEpoch(e)
+		// Archive the epoch and fold it into the signal's correlation sums
+		// in one critical section: the sums are a cache of the history and
+		// are only ever touched under the history's lock. Close passes are
+		// single-flight (the epoch loop, or the ring coordinator), so the
+		// fold is normally this one epoch; a collector that only installed
+		// a coordinator's closes until now folds its backlog here, once.
 		st := &c.epochs[fnv1a(e.SignalID)&c.mask]
 		st.mu.Lock()
-		st.history[e.SignalID] = append(st.history[e.SignalID], e)
-		hist := st.history[e.SignalID]
+		hist := append(st.history[e.SignalID], e)
+		st.history[e.SignalID] = hist
+		cs := st.corr[e.SignalID]
+		if cs == nil {
+			cs = new(corrState)
+			st.corr[e.SignalID] = cs
+		}
+		anomalies = append(anomalies, cs.check(c.Detector, hist)...)
 		st.mu.Unlock()
-		var participants []NodeID
+		participants = participants[:0]
 		for id := range e.Readings {
 			participants = append(participants, id)
 		}
-		sort.Slice(participants, func(i, j int) bool { return participants[i] < participants[j] })
-		// Correlation check over the accumulated history. Close passes are
-		// single-flight (the epoch loop, or the ring coordinator), so hist
-		// is stable while the detector reads it.
-		anomalies = append(anomalies, c.Detector.CheckCorrelation(hist)...)
 		Apply(c.Ledger, participants, anomalies)
 		c.metrics.recordEpochClosed(anomalies)
 		c.metrics.recordCloseLag(cutoff, e.At)
@@ -280,5 +288,6 @@ func (c *Collector) InstallHistory(signal string, epochs []Epoch) {
 	st := &c.epochs[fnv1a(signal)&c.mask]
 	st.mu.Lock()
 	st.history[signal] = append([]Epoch(nil), epochs...)
+	delete(st.corr, signal) // sums of the replaced history; the next close refolds
 	st.mu.Unlock()
 }

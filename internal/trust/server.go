@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -93,6 +94,7 @@ func NewShardedCollector(shards int) *Collector {
 	for i := 0; i < n; i++ {
 		c.epochs[i].pending = make(map[string]map[time.Time]*Epoch)
 		c.epochs[i].history = make(map[string][]Epoch)
+		c.epochs[i].corr = make(map[string]*corrState)
 		c.dedups[i].seen = make(map[string]struct{})
 	}
 	c.storePending = make(map[NodeID]Score)
@@ -229,11 +231,8 @@ func (c *Collector) SubmitDedup(r Reading) (duplicate bool, err error) {
 			}
 		}
 	}
-	if _, ok := c.Ledger.Node(r.Node); !ok {
-		return false, fmt.Errorf("trust: node %s not registered", r.Node)
-	}
-	if r.SignalID == "" {
-		return false, fmt.Errorf("trust: reading needs a signal ID")
+	if err := c.validate(&r); err != nil {
+		return false, err
 	}
 	if r.Key != "" {
 		h := fnv1a(r.Key)
@@ -265,6 +264,29 @@ func (c *Collector) SubmitDedup(r Reading) (duplicate bool, err error) {
 	st.mu.Unlock()
 	st.markDirty()
 	return false, nil
+}
+
+// maxAbsPowerDBm bounds a reading's power. Nothing a receiver measures
+// is within orders of magnitude of it; the bound exists so that one
+// absurd value cannot overflow a node's running correlation sums to
+// ±Inf, turn its coefficient into NaN and — NaN compares false with
+// everything — exempt the node from the correlation check for good.
+const maxAbsPowerDBm = 1000
+
+// validate is the admission check every reading passes, whichever entry
+// point it came through. A failure is permanent: retrying the same
+// reading cannot succeed.
+func (c *Collector) validate(r *Reading) error {
+	if _, ok := c.Ledger.Node(r.Node); !ok {
+		return fmt.Errorf("trust: node %s not registered", r.Node)
+	}
+	if r.SignalID == "" {
+		return fmt.Errorf("trust: reading needs a signal ID")
+	}
+	if !(math.Abs(r.PowerDBm) <= maxAbsPowerDBm) { // also NaN
+		return fmt.Errorf("trust: power %g dBm is not a measurement (|dBm| ≤ %d)", r.PowerDBm, maxAbsPowerDBm)
+	}
+	return nil
 }
 
 // lockCounted acquires mu, counting the acquisition as contended when a
@@ -380,7 +402,8 @@ func (s submitRequest) reading(now func() time.Time) Reading {
 }
 
 // batchResponse summarizes a batch submission. Rejected readings are
-// permanently bad (unknown node, missing signal); retrying them cannot
+// permanently bad (unknown node, missing signal, power no receiver could
+// have measured); retrying them cannot
 // succeed, so the client should ack and drop them.
 type batchResponse struct {
 	Accepted   int      `json:"accepted"`

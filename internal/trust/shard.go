@@ -45,12 +45,16 @@ func fnv1a(s string) uint64 { return hash.FNV1a(s) }
 
 // epochStripe holds the open and closed epochs of every signal that
 // hashes to it. History lives next to pending under the same lock
-// because CloseEpochs runs the correlation check over a signal's history
-// in the same critical section that archives the epoch.
+// because CloseEpochs folds an epoch into the signal's correlation sums
+// in the same critical section that archives it.
 type epochStripe struct {
 	mu      sync.Mutex
 	pending map[string]map[time.Time]*Epoch // signal → window start → epoch
 	history map[string][]Epoch              // closed epochs per signal
+	// corr caches the correlation check's running sums per signal, over a
+	// prefix of history (see corrState). Only the close pass reads or
+	// advances it, under mu; InstallHistory drops it.
+	corr map[string]*corrState
 	// open counts this stripe's pending (signal, window) epochs. It is
 	// maintained under mu but read without it, so PendingEpochs and the
 	// background closer's skip check never take stripe locks.
@@ -60,7 +64,7 @@ type epochStripe struct {
 	// open windows, so an idle stripe costs the closer two atomic loads
 	// instead of a lock acquisition and a map scan.
 	dirty atomic.Bool
-	_     [8]byte // pad to a cache line against false sharing
+	_     [20]byte // pad to a 64-byte cache line against false sharing
 }
 
 // markDirty flags the stripe for the next drain pass. Load-before-store

@@ -15,7 +15,6 @@ package trust
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -246,27 +245,4 @@ func (s Score) Quantize() string {
 	default:
 		return "suspect"
 	}
-}
-
-// mad returns the median and median-absolute-deviation of xs.
-func mad(xs []float64) (median, dev float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	median = s[len(s)/2]
-	if len(s)%2 == 0 {
-		median = (s[len(s)/2-1] + s[len(s)/2]) / 2
-	}
-	devs := make([]float64, len(s))
-	for i, x := range s {
-		devs[i] = math.Abs(x - median)
-	}
-	sort.Float64s(devs)
-	dev = devs[len(devs)/2]
-	if len(devs)%2 == 0 {
-		dev = (devs[len(devs)/2-1] + devs[len(devs)/2]) / 2
-	}
-	return median, dev
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -82,20 +83,28 @@ func TestScoreQuantize(t *testing.T) {
 	}
 }
 
-func TestMad(t *testing.T) {
-	med, dev := mad([]float64{1, 2, 3, 4, 100})
-	if med != 3 {
-		t.Errorf("median = %v, want 3", med)
-	}
-	if dev != 1 {
-		t.Errorf("MAD = %v, want 1", dev)
-	}
-	med, dev = mad([]float64{2, 4})
-	if med != 3 || dev != 1 {
-		t.Errorf("even-length mad = %v, %v", med, dev)
-	}
-	if m, d := mad(nil); m != 0 || d != 0 {
-		t.Error("empty mad should be zeros")
+// TestLooMedian pins the by-rank leave-one-out median against a sort of
+// the other readings, over odd, even, tied and degenerate epochs.
+func TestLooMedian(t *testing.T) {
+	for _, vals := range [][]float64{
+		{7}, {2, 4}, {1, 2, 3}, {1, 2, 3, 4, 100}, {4, 1, 3, 2}, {5, 5, 5, 5}, {-50, -50, -60, -40, -50, -70},
+	} {
+		ranked := make([]nodeValue, len(vals))
+		for i, v := range vals {
+			ranked[i] = nodeValue{v: v}
+		}
+		sort.Slice(ranked, func(i, j int) bool { return ranked[i].v < ranked[j].v })
+		for skip := range ranked {
+			var others []float64
+			for i, nv := range ranked {
+				if i != skip {
+					others = append(others, nv.v)
+				}
+			}
+			if got, want := looMedian(ranked, skip), oracleMedian(others); got != want {
+				t.Errorf("looMedian(%v without rank %d) = %v, want %v", vals, skip, got, want)
+			}
+		}
 	}
 }
 
@@ -207,25 +216,42 @@ func TestApplyUpdatesLedger(t *testing.T) {
 	}
 }
 
+// pearsonBoth runs the reference two-series Pearson and the running-sums
+// form the detector keeps, and requires them to agree to the bit.
+func pearsonBoth(t *testing.T, a, b []float64) (float64, int) {
+	t.Helper()
+	var s corrSums
+	for i := range a {
+		if !math.IsNaN(a[i]) {
+			s.add(a[i], b[i])
+		}
+	}
+	r, n := s.pearson()
+	if wr, wn := oraclePearson(a, b); math.Float64bits(r) != math.Float64bits(wr) || n != wn {
+		t.Errorf("sums give r=%v n=%d, series give r=%v n=%d", r, n, wr, wn)
+	}
+	return r, n
+}
+
 func TestPearson(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	b := []float64{2, 4, 6, 8, 10}
-	if r, n := pearson(a, b); math.Abs(r-1) > 1e-12 || n != 5 {
+	if r, n := pearsonBoth(t, a, b); math.Abs(r-1) > 1e-12 || n != 5 {
 		t.Errorf("perfect correlation: r=%v n=%d", r, n)
 	}
 	anti := []float64{5, 4, 3, 2, 1}
-	if r, _ := pearson(a, anti); math.Abs(r+1) > 1e-12 {
+	if r, _ := pearsonBoth(t, a, anti); math.Abs(r+1) > 1e-12 {
 		t.Errorf("anti-correlation: r=%v", r)
 	}
 	flat := []float64{3, 3, 3, 3, 3}
-	if r, _ := pearson(flat, b); r != 0 {
+	if r, _ := pearsonBoth(t, flat, b); r != 0 {
 		t.Errorf("flat series should report 0, got %v", r)
 	}
 	withNaN := []float64{1, math.NaN(), 3, math.NaN(), 5}
-	if _, n := pearson(withNaN, b); n != 3 {
+	if _, n := pearsonBoth(t, withNaN, b); n != 3 {
 		t.Errorf("NaN skipping: n=%d, want 3", n)
 	}
-	if r, n := pearson([]float64{math.NaN()}, []float64{1}); r != 0 || n != 0 {
+	if r, n := pearsonBoth(t, []float64{math.NaN()}, []float64{1}); r != 0 || n != 0 {
 		t.Error("degenerate input should be 0,0")
 	}
 }
