@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	spectrumd [-addr :8025] [-epoch 1m] [-state ledger.json] [-shards 8]
+//	spectrumd [-addr :8025] [-epoch 1m]
 //	          [-wal waldir] [-wal-compact-segments 4]
 //	          [-replica-id r1] [-ring r1=http://a:8025,r2=http://b:8025]
 //	          [-ring-secret s | $SENSORCAL_RING_SECRET]
@@ -15,10 +15,10 @@
 //	          [-stream] [-stream-fft 256] [-stream-queue 8192]
 //	          [-stream-sessions 16384] [-stream-idle 1m] [-stream-band 470e6:698e6]
 //
-// -shards sets the collector's ingest lock-stripe count (power of two;
-// 1 reproduces the classic single-lock collector). -profile-contention
-// enables the runtime mutex/block profilers so /debug/pprof/mutex and
-// /debug/pprof/block report where ingest actually waits.
+// The collector's ingest state is split across a fixed 8 lock stripes
+// (ingestStripes). -profile-contention enables the runtime mutex/block
+// profilers so /debug/pprof/mutex and /debug/pprof/block report where
+// ingest actually waits.
 //
 // -replica-id + -ring turn the daemon into one member of a multi-replica
 // collector tier (internal/replica): a consistent-hash ring partitions
@@ -32,12 +32,12 @@
 // absolute trust scores and drain pending evidence, so every peer
 // request is authenticated and everything else gets 403.
 //
-// -wal enables the crash-safe trust store (internal/store): every
-// registration and every epoch's score batch is appended to a
-// checksummed segment WAL and fsynced before it is acknowledged, and
-// sealed segments fold into snapshots. With -wal set, -state becomes an
-// import/export convenience: imported once when the WAL is empty,
-// exported at shutdown for operators who want a plain JSON view.
+// -wal is the daemon's one persistence path, the crash-safe trust store
+// (internal/store): every registration and every epoch's score batch is
+// appended to a checksummed segment WAL and fsynced before it is
+// acknowledged, and sealed segments fold into snapshots (each
+// snapshot-<seq>.json embeds the ledger as plain JSON). Without -wal the
+// ledger lives in memory only.
 //
 // Endpoints:
 //
@@ -57,8 +57,9 @@
 //	GET  /debug/pprof/* — runtime profiles
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: the HTTP server drains,
-// every pending epoch is closed through the consensus checks, and the
-// ledger is saved one final time so no trust evidence is lost.
+// the background closer stops, and every pending epoch is closed through
+// the consensus checks — its scores appended to the WAL — so no trust
+// evidence is lost.
 package main
 
 import (
@@ -69,7 +70,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -78,31 +78,31 @@ import (
 	"sensorcal/internal/clock"
 	"sensorcal/internal/obs"
 	"sensorcal/internal/replica"
-	"sensorcal/internal/resilience"
 	"sensorcal/internal/store"
 	"sensorcal/internal/stream"
 	"sensorcal/internal/trust"
 )
 
-// daemon is the testable core of spectrumd: the epoch-closing loop and
-// ledger persistence run against an injectable clock, so tests drive a
-// clock.Simulated through hours of collector time in microseconds the
-// same way the agent tests do.
+// ingestStripes is the collector's lock-stripe count: the value every
+// bench workload measures. Results are byte-identical at any count
+// (TestShardedCollectorEquivalence), so it is not an operator's choice.
+const ingestStripes = 8
+
+// daemon is the testable core of spectrumd: the epoch closer runs against
+// an injectable clock, so tests drive a clock.Simulated through hours of
+// collector time in microseconds the same way the agent tests do.
 type daemon struct {
-	col       *trust.Collector
-	clk       clock.Clock
-	statePath string
-	epoch     time.Duration
-	log       *obs.Logger
-	// saveRetry retries transient filesystem errors during ledger saves
-	// (nil: single attempt). saveFailures counts saves that failed even
-	// after retrying (nil: uncounted) — each one is a window of consensus
-	// evidence that a crash would lose.
-	saveRetry    *resilience.Retrier
-	saveFailures *obs.Counter
-	// tlog is the crash-safe trust store (-wal); nil runs the legacy
-	// snapshot-only persistence. compactSegs is the sealed-segment count
-	// that triggers compaction after an epoch close.
+	col   *trust.Collector
+	clk   clock.Clock
+	epoch time.Duration
+	log   *obs.Logger
+	// closer is the background epoch closer (startCloser). Close passes
+	// are single-flight: shutdown stops it, waiting out an in-flight pass,
+	// before it flushes the trailing windows itself.
+	closer *trust.Closer
+	// tlog is the crash-safe trust store (-wal); nil keeps the ledger in
+	// memory only. compactSegs is the sealed-segment count that triggers
+	// compaction after an epoch close.
 	tlog        *store.TrustLog
 	compactSegs int
 	// health gates /readyz; nil when the admin surface is not mounted.
@@ -114,10 +114,6 @@ type daemon struct {
 	// nil runs the classic single-collector daemon.
 	replica *replica.Node
 }
-
-// shutdownSaveTimeout bounds the final ledger save (and its retries) at
-// shutdown: a wedged disk must not hold the exit hostage forever.
-const shutdownSaveTimeout = 10 * time.Second
 
 // parseBand parses "lo:hi" in Hz (scientific notation welcome).
 func parseBand(s string) (lo, hi float64, err error) {
@@ -133,80 +129,10 @@ func parseBand(s string) (lo, hi float64, err error) {
 	return lo, hi, nil
 }
 
-// loadState restores the ledger snapshot, tolerating a missing file.
-func (d *daemon) loadState() error {
-	if d.statePath == "" {
-		return nil
-	}
-	f, err := os.Open(d.statePath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	defer f.Close()
-	if err := d.col.Ledger.Load(f); err != nil {
-		return err
-	}
-	d.log.Infof("restored %d nodes from %s", d.col.Ledger.Len(), d.statePath)
-	return nil
-}
-
-// saveState writes the ledger snapshot atomically and durably: the temp
-// file is fsynced before the rename and the parent directory after it,
-// so a power cut leaves either the old snapshot or the new one — never
-// a half-written file whose rename "succeeded" only in the page cache.
-// Transient filesystem errors are retried within ctx: a full disk or a
-// slow NFS mount recovers, and losing a snapshot over it would let a
-// fabricator launder its history by crashing the collector at the right
-// moment.
-func (d *daemon) saveState(ctx context.Context) {
-	if d.statePath == "" {
-		return
-	}
-	attempt := func() error {
-		tmp := d.statePath + ".tmp"
-		f, err := os.Create(tmp)
-		if err != nil {
-			return err
-		}
-		if err := d.col.Ledger.Save(f, d.clk.Now()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, d.statePath); err != nil {
-			return err
-		}
-		return store.OS{}.SyncDir(filepath.Dir(d.statePath))
-	}
-	var err error
-	if d.saveRetry != nil {
-		err = d.saveRetry.Do(ctx, "ledger_save",
-			func(context.Context) error { return attempt() })
-	} else {
-		err = attempt()
-	}
-	if err != nil {
-		if d.saveFailures != nil {
-			d.saveFailures.Inc()
-		}
-		d.log.Errorf("saving ledger: %v", err)
-	}
-}
-
-// closeEpochs finalizes every epoch before cutoff and persists the
-// result: through the WAL's compaction scheduler when the trust store
-// is on (the score batch itself was already appended durably inside
-// CloseEpochs), else through the legacy whole-ledger snapshot.
-func (d *daemon) closeEpochs(ctx context.Context, cutoff time.Time) {
+// closeEpochs finalizes every epoch before cutoff — the score batch is
+// appended durably inside the close itself — then lets the WAL fold
+// sealed segments into a snapshot.
+func (d *daemon) closeEpochs(cutoff time.Time) {
 	var anomalies []trust.Anomaly
 	switch {
 	case d.replica != nil && d.replica.IsCoordinator():
@@ -225,42 +151,38 @@ func (d *daemon) closeEpochs(ctx context.Context, cutoff time.Time) {
 	for _, a := range anomalies {
 		d.log.Warnf("anomaly: %v", a)
 	}
-	if d.tlog != nil {
-		if ran, err := d.tlog.MaybeCompact(d.col.Ledger, d.clk.Now(), d.compactSegs); err != nil {
-			d.log.Errorf("wal compaction: %v", err)
-		} else if ran {
-			d.log.Debugf("wal compacted into a fresh snapshot")
-		}
+	if d.tlog == nil {
 		return
 	}
-	d.saveState(ctx)
+	if ran, err := d.tlog.MaybeCompact(d.col.Ledger, d.clk.Now(), d.compactSegs); err != nil {
+		d.log.Errorf("wal compaction: %v", err)
+	} else if ran {
+		d.log.Debugf("wal compacted into a fresh snapshot")
+	}
 }
 
-// epochLoop closes matured epochs once per window until ctx is done. The
-// cadence machinery is the collector's background closer (trust.Closer)
-// with the daemon's clock injected; the Run hook substitutes the
-// replica-aware close (coordinator merge / follower no-op) plus
-// persistence for the plain single-collector pass.
-func (d *daemon) epochLoop(ctx context.Context) {
-	cl := d.col.StartCloser(trust.CloserConfig{
+// startCloser starts closing matured epochs once per window. The cadence
+// machinery is the collector's background closer (trust.Closer) with the
+// daemon's clock injected; the Run hook substitutes the replica-aware
+// close (coordinator merge / follower no-op) plus compaction for the
+// plain single-collector pass.
+func (d *daemon) startCloser() {
+	d.closer = d.col.StartCloser(trust.CloserConfig{
 		Interval: d.epoch,
 		Lag:      d.epoch,
 		Now:      d.clk.Now,
 		After:    d.clk.After,
 		Run: func(cutoff time.Time) []trust.Anomaly {
-			d.closeEpochs(ctx, cutoff)
+			d.closeEpochs(cutoff)
 			return nil // closeEpochs logs its own anomalies
 		},
 	})
-	<-ctx.Done()
-	cl.Stop()
 }
 
-// shutdown drains the HTTP server, then flushes every remaining epoch —
-// including the still-maturing one — and saves the ledger. Losing the
-// trailing window's evidence on restart would let a fabricator launder
-// its history by timing a crash. Every step runs under its own timeout
-// so a wedged disk or socket cannot hold the exit hostage.
+// shutdown drains the HTTP server, stops the background closer, then
+// flushes every remaining epoch — including the still-maturing one.
+// Losing the trailing window's evidence on restart would let a fabricator
+// launder its history by timing a crash.
 func (d *daemon) shutdown(srv *http.Server) {
 	sdCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -272,8 +194,13 @@ func (d *daemon) shutdown(srv *http.Server) {
 		// session aggregates stay consistent with what sensors were acked.
 		d.stream.Close()
 	}
-	saveCtx, cancelSave := context.WithTimeout(context.Background(), shutdownSaveTimeout)
-	defer cancelSave()
+	if d.closer != nil {
+		// Stop waits for an in-flight pass. The flush below must not
+		// overlap one: two passes appending to one signal's history and
+		// folding its correlation sums would do so in nondeterministic
+		// order (CloseDrained is single-flight).
+		d.closer.Stop()
+	}
 	if d.replica != nil && !d.replica.IsCoordinator() {
 		// A follower's pending epochs live only in memory and only the
 		// coordinator may close them: hand them over — including the
@@ -284,15 +211,13 @@ func (d *daemon) shutdown(srv *http.Server) {
 			d.log.Warnf("shutdown handoff failed, trailing-window evidence lost with this process: %v", err)
 		}
 	}
-	d.closeEpochs(saveCtx, d.clk.Now().Add(d.epoch))
+	d.closeEpochs(d.clk.Now().Add(d.epoch))
 	if d.tlog != nil {
-		// Export the plain JSON view for operators, then release the WAL.
-		d.saveState(saveCtx)
 		if err := d.tlog.Close(); err != nil {
 			d.log.Warnf("closing wal: %v", err)
 		}
 	}
-	d.log.Infof("ledger saved, exiting")
+	d.log.Infof("pending epochs closed, exiting")
 }
 
 // handler mounts the collector API — wrapped in the load-shedding and
@@ -328,8 +253,7 @@ func (d *daemon) handler() http.Handler {
 }
 
 // openTrustLog boots the WAL-backed trust store: recover the ledger from
-// the newest snapshot plus the segment tail, fall back to a one-time
-// JSON import when the log is brand new, and wire the collector's
+// the newest snapshot plus the segment tail and wire the collector's
 // mutations through the store.
 func (d *daemon) openTrustLog(dir string) error {
 	tlog, err := store.OpenTrustLog(dir, store.Options{Metrics: store.NewMetrics(obs.Default())})
@@ -344,25 +268,8 @@ func (d *daemon) openTrustLog(dir string) error {
 	if stats.TornBytes > 0 {
 		d.log.Warnf("wal recovery truncated %d torn bytes from the tail", stats.TornBytes)
 	}
-	if d.col.Ledger.Len() == 0 && d.statePath != "" {
-		// Brand-new WAL next to an existing JSON snapshot: import it once,
-		// then fold it into a durable WAL snapshot immediately so the
-		// import survives a crash without the JSON file.
-		if err := d.loadState(); err != nil {
-			tlog.Close()
-			return err
-		}
-		if d.col.Ledger.Len() > 0 {
-			if err := tlog.Compact(d.col.Ledger, d.clk.Now()); err != nil {
-				tlog.Close()
-				return err
-			}
-			d.log.Infof("imported %d nodes from %s into the wal", d.col.Ledger.Len(), d.statePath)
-		}
-	} else {
-		d.log.Infof("wal recovery: %d nodes from snapshot, %d records replayed",
-			stats.SnapshotNodes, stats.Records)
-	}
+	d.log.Infof("wal recovery: %d nodes from snapshot, %d records replayed",
+		stats.SnapshotNodes, stats.Records)
 	d.tlog = tlog
 	d.col.Store = tlog
 	return nil
@@ -371,11 +278,10 @@ func (d *daemon) openTrustLog(dir string) error {
 func main() {
 	logger := obs.NewLogger("spectrumd")
 	var (
-		addr     = flag.String("addr", ":8025", "listen address")
-		epoch    = flag.Duration("epoch", time.Minute, "consensus epoch window")
-		state    = flag.String("state", "", "ledger snapshot file (with -wal: imported once when the wal is empty, exported at shutdown)")
-		walDir   = flag.String("wal", "", "crash-safe trust store directory (empty: legacy snapshot-only persistence)")
-		walSegs  = flag.Int("wal-compact-segments", store.DefaultCompactAfterSegments, "sealed wal segments that trigger snapshot compaction")
+		addr    = flag.String("addr", ":8025", "listen address")
+		epoch   = flag.Duration("epoch", time.Minute, "consensus epoch window")
+		walDir  = flag.String("wal", "", "crash-safe trust store directory (empty: the ledger is kept in memory only)")
+		walSegs = flag.Int("wal-compact-segments", store.DefaultCompactAfterSegments, "sealed wal segments that trigger snapshot compaction")
 
 		replicaID   = flag.String("replica-id", "", "this member's ID in the collector ring (empty: single-collector mode)")
 		ringSpec    = flag.String("ring", "", "full ring membership as id=url,id=url (must include -replica-id)")
@@ -383,7 +289,6 @@ func main() {
 		ringVnodes  = flag.Int("ring-vnodes", replica.DefaultVirtualNodes, "virtual nodes per ring member (identical on every member)")
 		catchupWait = flag.Duration("catchup-wait", 30*time.Second, "how long a booting replica waits for a live peer before assuming a cold start")
 
-		shards   = flag.Int("shards", 8, "collector ingest lock stripes (rounded up to a power of two; 1 = single-lock)")
 		profCont = flag.Bool("profile-contention", false, "enable runtime mutex/block profiling on /debug/pprof")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 
@@ -416,20 +321,13 @@ func main() {
 		logger.Infof("mutex/block contention profiling enabled")
 	}
 
-	c := trust.NewShardedCollector(*shards).Instrument(obs.Default())
+	c := trust.NewShardedCollector(ingestStripes).Instrument(obs.Default())
 	c.EpochWindow = *epoch
 	health := obs.NewHealth()
 	health.SetReady("ledger", false)
 	d := &daemon{
-		col: c, clk: clock.System{}, statePath: *state, epoch: *epoch, log: logger,
+		col: c, clk: clock.System{}, epoch: *epoch, log: logger,
 		compactSegs: *walSegs, health: health,
-		saveRetry: resilience.NewRetrier(resilience.Policy{
-			MaxAttempts: 3,
-			BaseDelay:   50 * time.Millisecond,
-			MaxDelay:    500 * time.Millisecond,
-		}).Instrument(nil),
-		saveFailures: obs.Default().Counter("trust_ledger_save_failures_total",
-			"Ledger snapshot saves that failed even after retrying."),
 	}
 	if *walDir != "" {
 		if err := d.openTrustLog(*walDir); err != nil {
@@ -438,8 +336,6 @@ func main() {
 		// Degraded store = appends failing = mutations shed with 503: not
 		// ready for traffic until the disk heals.
 		health.AddCheck("store", func() bool { return !c.StoreDegraded() })
-	} else if err := d.loadState(); err != nil {
-		logger.Fatalf("loading %s: %v", *state, err)
 	}
 	health.SetReady("ledger", true)
 	if *replicaID != "" {
@@ -504,7 +400,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go d.epochLoop(ctx)
+	d.startCloser()
 	if d.replica != nil {
 		// Catch up from a live peer before going ready. Outbound only, so
 		// it runs while this replica already serves /replica/* to others —
@@ -538,7 +434,7 @@ func main() {
 	srv := &http.Server{Addr: *addr, Handler: d.handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	logger.Infof("collector listening on %s (epoch window %s, %d ingest shards)", *addr, *epoch, c.Shards())
+	logger.Infof("collector listening on %s (epoch window %s, %d ingest stripes)", *addr, *epoch, ingestStripes)
 
 	select {
 	case err := <-errc:

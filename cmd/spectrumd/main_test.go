@@ -1,17 +1,14 @@
 package main
 
 import (
-	"context"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"sensorcal/internal/clock"
 	"sensorcal/internal/obs"
-	"sensorcal/internal/resilience"
 	"sensorcal/internal/trust"
 )
 
@@ -22,17 +19,16 @@ func quietLogger() *obs.Logger {
 }
 
 // newTestDaemon builds a daemon on a simulated clock starting at start.
-func newTestDaemon(t *testing.T, start time.Time, statePath string) (*daemon, *clock.Simulated) {
+func newTestDaemon(t *testing.T, start time.Time) (*daemon, *clock.Simulated) {
 	t.Helper()
 	sim := clock.NewSimulated(start)
 	c := trust.NewCollector()
 	c.EpochWindow = time.Minute
 	d := &daemon{
-		col:       c,
-		clk:       sim,
-		statePath: statePath,
-		epoch:     time.Minute,
-		log:       quietLogger(),
+		col:   c,
+		clk:   sim,
+		epoch: time.Minute,
+		log:   quietLogger(),
 	}
 	return d, sim
 }
@@ -46,12 +42,12 @@ func register(t *testing.T, c *trust.Collector, ids ...trust.NodeID) {
 	}
 }
 
-// TestEpochLoopSimulatedClock drives the epoch-closing loop entirely on a
+// TestEpochLoopSimulatedClock drives the background closer entirely on a
 // simulated clock: readings submitted in window w close once the clock
 // advances two windows past w, without any wall-clock sleeping.
 func TestEpochLoopSimulatedClock(t *testing.T) {
 	start := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	d, sim := newTestDaemon(t, start, "")
+	d, sim := newTestDaemon(t, start)
 	register(t, d.col, "a", "b", "c")
 	for _, id := range []trust.NodeID{"a", "b", "c"} {
 		err := d.col.Submit(trust.Reading{Node: id, SignalID: "tv-521MHz", PowerDBm: -60, At: start.Add(5 * time.Second)})
@@ -63,13 +59,7 @@ func TestEpochLoopSimulatedClock(t *testing.T) {
 		t.Fatalf("pending epochs = %d, want 1", got)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		d.epochLoop(ctx)
-		close(done)
-	}()
+	d.startCloser()
 
 	// The loop wakes at +1m with cutoff start (window not yet matured) and
 	// at +2m with cutoff +1m, which closes the start window.
@@ -85,52 +75,34 @@ func TestEpochLoopSimulatedClock(t *testing.T) {
 		t.Fatalf("closed epochs = %d, want 1", got)
 	}
 
-	cancel()
-	sim.Advance(time.Minute) // release a loop blocked in clk.After
+	done := make(chan struct{})
+	go func() {
+		d.closer.Stop()
+		close(done)
+	}()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("epochLoop did not stop on ctx cancellation")
-	}
-}
-
-// TestSaveAndLoadState round-trips the ledger snapshot through the
-// daemon's persistence paths using the simulated clock for timestamps.
-func TestSaveAndLoadState(t *testing.T) {
-	start := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	path := filepath.Join(t.TempDir(), "ledger.json")
-	d, _ := newTestDaemon(t, start, path)
-	register(t, d.col, "n1", "n2")
-	d.col.Ledger.Record("n1", 1)
-
-	d.saveState(context.Background())
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("snapshot not written: %v", err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("temp file left behind: %v", err)
-	}
-
-	d2, _ := newTestDaemon(t, start.Add(time.Hour), path)
-	if err := d2.loadState(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := d2.col.Ledger.Len(), 2; got != want {
-		t.Fatalf("restored %d nodes, want %d", got, want)
-	}
-	if got, want := d2.col.Ledger.Trust("n1"), d.col.Ledger.Trust("n1"); got != want {
-		t.Fatalf("restored trust %v, want %v", got, want)
+		t.Fatal("closer did not stop")
 	}
 }
 
 // TestShutdownFlushesPendingEpochs verifies the graceful path: shutdown
-// closes even the immature trailing window and persists the ledger, so a
-// restart cannot launder pending consensus evidence.
+// closes even the immature trailing window and its scores reach the WAL,
+// so a restart on the same directory cannot launder pending consensus
+// evidence.
 func TestShutdownFlushesPendingEpochs(t *testing.T) {
 	start := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	path := filepath.Join(t.TempDir(), "ledger.json")
-	d, _ := newTestDaemon(t, start, path)
-	register(t, d.col, "a", "b", "c")
+	walDir := t.TempDir()
+	d, _ := newTestDaemon(t, start)
+	if err := d.openTrustLog(walDir); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []trust.NodeID{"a", "b", "c"} {
+		if err := d.col.RegisterDurable(trust.Node{ID: id, Registered: start}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// An over-consensus fabrication inside the still-open window.
 	for _, r := range []trust.Reading{
 		{Node: "a", SignalID: "tv-521MHz", PowerDBm: -60},
@@ -149,104 +121,117 @@ func TestShutdownFlushesPendingEpochs(t *testing.T) {
 	if got := d.col.PendingEpochs(); got != 0 {
 		t.Fatalf("pending epochs after shutdown = %d, want 0", got)
 	}
-	if d.col.Ledger.Trust("c") >= d.col.Ledger.Trust("a") {
-		t.Fatalf("fabricator score %v not below honest score %v after final close",
-			d.col.Ledger.Trust("c"), d.col.Ledger.Trust("a"))
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("final snapshot not written: %v", err)
-	}
-}
-
-// TestSaveStateRetriesAndCountsFailures drives the ledger save through a
-// path that cannot succeed (parent directory missing): the retrier burns
-// its attempts and the failure counter records exactly one lost save.
-func TestSaveStateRetriesAndCountsFailures(t *testing.T) {
-	start := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	path := filepath.Join(t.TempDir(), "no-such-dir", "ledger.json")
-	d, _ := newTestDaemon(t, start, path)
-	reg := obs.NewRegistry()
-	d.saveRetry = resilience.NewRetrier(resilience.Policy{
-		MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Seed: 1,
-	})
-	d.saveFailures = reg.Counter("trust_ledger_save_failures_total", "test")
-	d.saveState(context.Background())
-	if got := d.saveFailures.Value(); got != 1 {
-		t.Fatalf("save failures = %v, want 1", got)
-	}
-	// A healthy path succeeds through the same retry plumbing and leaves
-	// the counter alone.
-	d.statePath = filepath.Join(t.TempDir(), "ledger.json")
-	register(t, d.col, "n1")
-	d.saveState(context.Background())
-	if _, err := os.Stat(d.statePath); err != nil {
-		t.Fatalf("snapshot not written: %v", err)
-	}
-	if got := d.saveFailures.Value(); got != 1 {
-		t.Fatalf("save failures after success = %v, want still 1", got)
-	}
-}
-
-// TestWALBootImportsLegacySnapshotOnce: a brand-new WAL directory next to
-// an existing JSON snapshot imports it exactly once, folds it into a
-// durable WAL snapshot, and subsequent boots recover from the WAL alone.
-func TestWALBootImportsLegacySnapshotOnce(t *testing.T) {
-	start := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	root := t.TempDir()
-	statePath := filepath.Join(root, "ledger.json")
-	walDir := filepath.Join(root, "wal")
-
-	// Legacy daemon leaves a JSON snapshot behind.
-	d1, _ := newTestDaemon(t, start, statePath)
-	register(t, d1.col, "a", "b")
-	d1.col.Ledger.SetScore("a", 0.9)
-	d1.saveState(context.Background())
-	if _, err := os.Stat(statePath); err != nil {
-		t.Fatalf("legacy snapshot not written: %v", err)
-	}
-
-	// First WAL boot: empty log, so the JSON imports once.
-	d2, _ := newTestDaemon(t, start.Add(time.Hour), statePath)
+	// A second daemon on the same directory recovers the final close.
+	d2, _ := newTestDaemon(t, start.Add(time.Hour))
 	if err := d2.openTrustLog(walDir); err != nil {
 		t.Fatal(err)
 	}
-	if got := d2.col.Ledger.Len(); got != 2 {
-		t.Fatalf("imported %d nodes, want 2", got)
-	}
-	if got := d2.col.Ledger.Trust("a"); got != 0.9 {
-		t.Fatalf("imported trust for a = %v, want 0.9", got)
-	}
-	if d2.col.Store == nil {
-		t.Fatal("collector mutations not wired through the store")
-	}
-	// A post-import mutation lands in the WAL tail.
-	if err := d2.col.Ledger.Register(trust.Node{ID: "c", Registered: start}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.col.Store.AppendRegister(trust.Node{ID: "c", Registered: start}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.tlog.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second WAL boot: the JSON file is gone, proving recovery reads the
-	// WAL — snapshot plus tail — and does not re-import.
-	if err := os.Remove(statePath); err != nil {
-		t.Fatal(err)
-	}
-	d3, _ := newTestDaemon(t, start.Add(2*time.Hour), statePath)
-	if err := d3.openTrustLog(walDir); err != nil {
-		t.Fatal(err)
-	}
-	defer d3.tlog.Close()
-	if got := d3.col.Ledger.Len(); got != 3 {
+	defer d2.tlog.Close()
+	if got := d2.col.Ledger.Len(); got != 3 {
 		t.Fatalf("recovered %d nodes, want 3", got)
 	}
-	if got := d3.col.Ledger.Trust("a"); got != 0.9 {
-		t.Fatalf("recovered trust for a = %v, want 0.9", got)
+	fab, honest := d2.col.Ledger.Trust("c"), d2.col.Ledger.Trust("a")
+	if fab >= honest {
+		t.Fatalf("recovered fabricator score %v not below honest score %v: the final close never reached the wal", fab, honest)
 	}
-	if _, ok := d3.col.Ledger.Node("c"); !ok {
-		t.Fatal("tail-appended registration lost across boots")
+	if want := d.col.Ledger.Trust("c"); fab != want {
+		t.Fatalf("recovered fabricator score %v, want %v", fab, want)
+	}
+}
+
+// gatedStore holds every AppendScores open until release is closed, so a
+// test can park a close pass mid-flight.
+type gatedStore struct {
+	entered chan struct{} // one token per AppendScores that has begun
+	release chan struct{}
+}
+
+func (s *gatedStore) AppendRegister(trust.Node) error { return nil }
+
+func (s *gatedStore) AppendScores(time.Time, []trust.ScoreUpdate) error {
+	s.entered <- struct{}{}
+	<-s.release
+	return nil
+}
+
+// TestShutdownWaitsForInFlightClose pins the single-flight rule at
+// shutdown: with a background pass parked inside its durable append, the
+// final flush must not start — no drain, no history append, no second
+// append — until that pass finishes, and the result must equal closing
+// the same windows serially.
+func TestShutdownWaitsForInFlightClose(t *testing.T) {
+	start := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	now := start.Add(2*time.Minute + 10*time.Second)
+	const sig = "tv-521MHz"
+	feed := func(c *trust.Collector) {
+		register(t, c, "a", "b", "c")
+		for _, r := range []trust.Reading{
+			// A matured window the background pass closes…
+			{Node: "a", SignalID: sig, PowerDBm: -60, At: start.Add(5 * time.Second)},
+			{Node: "b", SignalID: sig, PowerDBm: -61, At: start.Add(5 * time.Second)},
+			{Node: "c", SignalID: sig, PowerDBm: -30, At: start.Add(5 * time.Second)},
+			// …and the still-maturing one only the shutdown flush closes.
+			{Node: "a", SignalID: sig, PowerDBm: -62, At: now.Add(-5 * time.Second)},
+			{Node: "b", SignalID: sig, PowerDBm: -63, At: now.Add(-5 * time.Second)},
+			{Node: "c", SignalID: sig, PowerDBm: -31, At: now.Add(-5 * time.Second)},
+		} {
+			if err := c.Submit(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d, _ := newTestDaemon(t, now)
+	// Two appends happen in all: the parked pass and the final flush.
+	st := &gatedStore{entered: make(chan struct{}, 2), release: make(chan struct{})}
+	d.col.Store = st
+	feed(d.col)
+
+	d.startCloser()
+	d.closer.Kick()
+	select {
+	case <-st.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("background pass never reached the store")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		d.shutdown(&http.Server{Addr: "127.0.0.1:0", Handler: d.handler()})
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("shutdown returned while a close pass was still in flight")
+	case <-time.After(100 * time.Millisecond):
+	}
+	if got := d.col.PendingEpochs(); got != 1 {
+		t.Errorf("pending epochs while the pass is parked = %d, want 1: the final flush drained under it", got)
+	}
+	if got := len(d.col.History(sig)); got != 1 {
+		t.Errorf("history length while the pass is parked = %d, want 1", got)
+	}
+	if got := len(st.entered); got != 0 {
+		t.Errorf("%d further appends began while the pass was parked", got)
+	}
+
+	close(st.release)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shutdown did not finish after the pass was released")
+	}
+
+	serial := trust.NewCollector()
+	serial.EpochWindow = time.Minute
+	feed(serial)
+	serial.CloseEpochs(now.Add(-time.Minute))
+	serial.CloseEpochs(now.Add(time.Minute))
+	if got, want := d.col.History(sig), serial.History(sig); !reflect.DeepEqual(got, want) {
+		t.Errorf("history diverges from the serial order:\n got %v\nwant %v", got, want)
+	}
+	for _, id := range []trust.NodeID{"a", "b", "c"} {
+		if got, want := d.col.Ledger.Trust(id), serial.Ledger.Trust(id); got != want {
+			t.Errorf("trust(%s) = %v, want %v", id, got, want)
+		}
 	}
 }

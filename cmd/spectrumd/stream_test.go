@@ -28,7 +28,7 @@ func toneIQ(n int) []complex128 {
 // carve out of /api/ without shadowing the trust API, frames flow
 // through to the occupancy grid, and /readyz reflects the stream check.
 func TestDaemonMountsStreamRoutes(t *testing.T) {
-	d, _ := newTestDaemon(t, time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC), "")
+	d, _ := newTestDaemon(t, time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 	sv, err := stream.NewService(stream.Config{
 		FFTSize:  128,
 		Linger:   -1,

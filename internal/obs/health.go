@@ -12,8 +12,8 @@ import (
 // Readiness aggregates named probes: boolean flags a daemon flips as it
 // finishes booting ("ledger"), plus callback checks evaluated on every
 // request ("wal" — is the store healthy right now?). A daemon is ready
-// only when every probe passes; orchestration (and loadgen, and the CI
-// smoke scripts) gate traffic on /readyz instead of sleeping and hoping.
+// only when every probe passes; orchestration (and the CI smoke scripts)
+// gate traffic on /readyz instead of sleeping and hoping.
 //
 // All methods are safe for concurrent use and tolerate a nil receiver
 // (nil Health is always ready), so daemons without boot dependencies can

@@ -12,9 +12,9 @@ import (
 )
 
 // TrustLog is the trust.Store implementation: trust mutations as WAL
-// records, folded periodically into a JSON ledger snapshot (the same
-// snapshot format spectrumd's -state flag exports, so operators can
-// inspect or import it with standard tools).
+// records, folded periodically into a JSON ledger snapshot (plain
+// trust.Ledger.Save output, so operators can inspect it with standard
+// tools).
 //
 // Record payloads are JSON envelopes inside the binary checksummed
 // frame — the frame layer detects torn writes, the envelope carries

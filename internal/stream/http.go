@@ -64,8 +64,8 @@ func decodeIQ(b64 string, want int) ([]complex128, error) {
 	return iq, nil
 }
 
-// EncodeIQ is the inverse of the wire decoding — loadgen and tests build
-// request bodies with it.
+// EncodeIQ is the inverse of the wire decoding — Go clients and tests
+// build request bodies with it.
 func EncodeIQ(iq []complex128) string {
 	raw := make([]byte, len(iq)*8)
 	for i, s := range iq {

@@ -8,17 +8,18 @@ import (
 	"sensorcal/internal/obs"
 )
 
-// Batched per-stripe submit. SubmitDedup takes up to three stripe locks
-// per reading; an HTTP batch of 1000 readings is 3000 lock round-trips
-// even when every reading lands in the same handful of stripes. The
-// batch path regroups the readings by stripe with a counting sort and
-// takes each stripe lock once per batch, turning the lock cost from
-// O(readings) into O(stripes touched). Within each stripe the readings
-// are processed in their original batch order and the stripes are
-// disjoint by construction, so the final collector state — dedup ring
-// contents, freshness, epoch maps — is byte-identical to feeding the
-// same slice through SubmitDedup one element at a time (pinned by
-// TestSubmitBatchEquivalence).
+// Batched per-stripe submit: the collector's one ingest body. Taking up
+// to three stripe locks per reading makes an HTTP batch of 1000 readings
+// 3000 lock round-trips even when every reading lands in the same
+// handful of stripes. The batch path regroups the readings by stripe
+// with a counting sort and takes each stripe lock once per batch,
+// turning the lock cost from O(readings) into O(stripes touched). Within
+// each stripe the readings are processed in their original batch order
+// and the stripes are disjoint by construction, so the final collector
+// state — dedup ring contents, freshness, epoch maps — is byte-identical
+// to feeding the same slice one reading at a time through the
+// per-reading reference body kept in submit_oracle_test.go (pinned by
+// TestSubmitBatchOutcomes and TestShardedCollectorEquivalence).
 
 // SubmitOutcome is one reading's result within a SubmitBatch call,
 // positionally matching the input slice. Duplicate and Err mirror
@@ -66,12 +67,12 @@ func grow32(s []int32, n int) []int32 {
 
 // SubmitBatch ingests a batch of readings, writing one outcome per
 // reading into outs (grown as needed; pass nil or a previous call's
-// slice to reuse its backing array) and returning it. Semantics per
-// reading are exactly SubmitDedup's — same validation, same dedup and
-// freshness rules, same epoch placement — but each touched stripe lock
-// is taken once per batch instead of once per reading. The /api/readings
-// handler, the replica router's local partition and loadgen's core mode
-// all ingest through this one entry point.
+// slice to reuse its backing array) and returning it. Each reading is
+// validated, deduplicated, counted for freshness and placed in its epoch
+// independently of its neighbours, but each touched stripe lock is taken
+// once per batch instead of once per reading. The /api/readings handler
+// (both wire forms), the replica router's local partition and
+// Submit/SubmitDedup all ingest through this one entry point.
 func (c *Collector) SubmitBatch(rs []Reading, outs []SubmitOutcome) []SubmitOutcome {
 	if cap(outs) < len(rs) {
 		outs = make([]SubmitOutcome, len(rs))
@@ -107,7 +108,10 @@ func (c *Collector) SubmitBatch(rs []Reading, outs []SubmitOutcome) []SubmitOutc
 
 	// Phase 1 — validate every reading, open spans for the (rare) traced
 	// ones, and try the lock-free dedup fast path. Readings that need the
-	// authoritative locked check are counted per dedup stripe.
+	// authoritative locked check are counted per dedup stripe. A reading
+	// carrying its origin's traceparent gets an ingest span parented into
+	// that trace — the link that survives hours in the agent's spool;
+	// unsampled origins make StartRemote return nil.
 	for i := range sc.bins {
 		sc.bins[i] = 0
 	}
@@ -153,7 +157,7 @@ func (c *Collector) SubmitBatch(rs []Reading, outs []SubmitOutcome) []SubmitOutc
 			continue
 		}
 		d := &c.dedups[s]
-		c.lockCounted(&d.mu, stripeDedup)
+		d.mu.Lock()
 		for _, idx := range sc.order[lo:hi] {
 			key := rs[idx].Key
 			if d.dup(key) {
@@ -166,9 +170,11 @@ func (c *Collector) SubmitBatch(rs []Reading, outs []SubmitOutcome) []SubmitOutc
 		d.mu.Unlock()
 	}
 
-	// Phase 3 — freshness. Lock-free per reading (CAS-max), so no
-	// regrouping is worth it; order across readings of one node does not
-	// matter because max() is commutative.
+	// Phase 3 — freshness, the staleness signal the measurement scheduler
+	// plans from: reading time, not arrival time, so a spool replay of old
+	// readings does not fake freshness. Lock-free per reading (CAS-max),
+	// so no regrouping is worth it; order across readings of one node does
+	// not matter because max() is commutative.
 	for i := range rs {
 		if sc.flags[i]&flagAccepted != 0 {
 			r := &rs[i]
@@ -191,7 +197,7 @@ func (c *Collector) SubmitBatch(rs []Reading, outs []SubmitOutcome) []SubmitOutc
 			continue
 		}
 		st := &c.epochs[s]
-		c.lockCounted(&st.mu, stripeEpoch)
+		st.mu.Lock()
 		for _, idx := range sc.order[lo:hi] {
 			r := &rs[idx]
 			st.insertLocked(r.SignalID, r.At.Truncate(c.EpochWindow), r.Node, r.PowerDBm)

@@ -6,11 +6,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sensorcal/internal/obs"
 )
 
 // TestSubmitBatchOutcomes pins the per-reading contract: SubmitBatch's
 // outcome slice must equal, position by position, what N sequential
-// SubmitDedup calls would have returned for the same slice — across
+// oracleSubmitDedup calls would have returned for the same slice — across
 // rejects (unknown node, missing signal), duplicates of earlier batches,
 // duplicates *within* one batch, and keyless readings — at 1, 4 and 16
 // stripes.
@@ -41,7 +43,7 @@ func TestSubmitBatchOutcomes(t *testing.T) {
 		rs := mixed()
 		var want []SubmitOutcome
 		for _, r := range rs {
-			dup, err := serial.SubmitDedup(r)
+			dup, err := oracleSubmitDedup(serial, r)
 			want = append(want, SubmitOutcome{Duplicate: dup, Err: err})
 		}
 		got := batch.SubmitBatch(mixed(), nil)
@@ -205,5 +207,132 @@ func TestSubmitBatchDedupAcrossChunks(t *testing.T) {
 		if !outs[i].Duplicate || outs[i].Err != nil {
 			t.Fatalf("retry %d not deduped: %+v", i, outs[i])
 		}
+	}
+}
+
+// dedupRings lists every dedup stripe's live keys, oldest first.
+func dedupRings(c *Collector) [][]string {
+	out := make([][]string, len(c.dedups))
+	for s := range c.dedups {
+		d := &c.dedups[s]
+		d.mu.Lock()
+		for i := 0; i < d.n; i++ {
+			out[s] = append(out[s], *d.ring[(d.head+i)%len(d.ring)])
+		}
+		d.mu.Unlock()
+	}
+	return out
+}
+
+// ingestSpans reduces a tracer's finished spans to what the ingest path
+// decides: name, lineage, error and attributes (IDs and timings differ
+// between two tracers by construction).
+func ingestSpans(tr *obs.Tracer) []obs.SpanRecord {
+	var out []obs.SpanRecord
+	for _, sp := range tr.Snapshot() {
+		out = append(out, obs.SpanRecord{
+			TraceID: sp.TraceID, ParentID: sp.ParentID, Name: sp.Name,
+			Error: sp.Error, Attrs: sp.Attrs,
+		})
+	}
+	return out
+}
+
+// TestSubmitSingleMatchesOracle pins the n = 1 case of the one ingest
+// body: Submit/SubmitDedup (the agent's in-process path and the
+// single-object /api/readings form) are a one-element SubmitBatch, and
+// after every step they must leave exactly what the per-reading
+// reference body leaves — outcome, dedup ring, freshness, pending epochs,
+// the submit counters and the trust.ingest span.
+func TestSubmitSingleMatchesOracle(t *testing.T) {
+	const sampled = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	at := t0.Add(30 * time.Second)
+	steps := []struct {
+		name string
+		r    Reading
+	}{
+		{"keyed", Reading{Node: "node-00", SignalID: "sig-a", PowerDBm: -50, At: at, Key: "k1"}},
+		{"unkeyed", Reading{Node: "node-01", SignalID: "sig-b", PowerDBm: -51, At: at.Add(time.Minute)}},
+		{"duplicate of self", Reading{Node: "node-00", SignalID: "sig-a", PowerDBm: -50, At: at, Key: "k1"}},
+		{"unregistered node", Reading{Node: "ghost", SignalID: "sig-a", PowerDBm: -50, At: at, Key: "k2"}},
+		{"absurd power", Reading{Node: "node-00", SignalID: "sig-a", PowerDBm: 1e6, At: at, Key: "k3"}},
+		{"traced", Reading{Node: "node-01", SignalID: "sig-a", PowerDBm: -52, At: at, Key: "k4", Trace: sampled}},
+		{"traced duplicate", Reading{Node: "node-01", SignalID: "sig-a", PowerDBm: -52, At: at, Key: "k4", Trace: sampled}},
+		{"traced reject", Reading{Node: "ghost", SignalID: "sig-a", PowerDBm: -52, At: at, Trace: sampled}},
+	}
+	for _, shards := range []int{1, 8} {
+		build := func() *Collector {
+			c := newWorkloadCollector(t, shards, 2)
+			c.Tracer = obs.NewTracer(64)
+			return c.Instrument(obs.NewRegistry())
+		}
+		got, want := build(), build()
+		for _, s := range steps {
+			dup, err := got.SubmitDedup(s.r)
+			wantDup, wantErr := oracleSubmitDedup(want, s.r)
+			if dup != wantDup || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("shards=%d %s: outcome (%v, %v), want (%v, %v)", shards, s.name, dup, err, wantDup, wantErr)
+			}
+			if g, w := dedupRings(got), dedupRings(want); !reflect.DeepEqual(g, w) {
+				t.Errorf("shards=%d %s: dedup rings %v, want %v", shards, s.name, g, w)
+			}
+			if !reflect.DeepEqual(got.Fleet(), want.Fleet()) {
+				t.Errorf("shards=%d %s: freshness diverges", shards, s.name)
+			}
+			if g, w := got.PendingEpochs(), want.PendingEpochs(); g != w {
+				t.Errorf("shards=%d %s: pending epochs = %d, want %d", shards, s.name, g, w)
+			}
+			for i := range got.epochs {
+				if !reflect.DeepEqual(got.epochs[i].pending, want.epochs[i].pending) {
+					t.Errorf("shards=%d %s: pending readings diverge in stripe %d", shards, s.name, i)
+				}
+			}
+			gm, wm := got.metrics, want.metrics
+			for _, c := range []struct {
+				series    string
+				got, want float64
+			}{
+				{"trust_readings_total", gm.readings.Value(), wm.readings.Value()},
+				{"trust_duplicate_readings_total", gm.duplicates.Value(), wm.duplicates.Value()},
+				{"trust_reading_errors_total", gm.readingErrors.Value(), wm.readingErrors.Value()},
+				{"collector_submit_seconds count", float64(gm.submitSeconds.Count()), float64(wm.submitSeconds.Count())},
+			} {
+				if c.got != c.want {
+					t.Errorf("shards=%d %s: %s = %v, want %v", shards, s.name, c.series, c.got, c.want)
+				}
+			}
+			if g, w := ingestSpans(got.Tracer), ingestSpans(want.Tracer); !reflect.DeepEqual(g, w) {
+				t.Errorf("shards=%d %s: spans\n got %+v\nwant %+v", shards, s.name, g, w)
+			}
+		}
+		if n := len(ingestSpans(got.Tracer)); n != 3 {
+			t.Errorf("shards=%d: %d trust.ingest spans, want 3 (the test is vacuous without them)", shards, n)
+		}
+	}
+}
+
+// BenchmarkSubmitSingle prices the one-element path serially at the
+// shipped stripe count: a keyless reading and a retried keyed one (the
+// steady states that touch no new map entry). 0 allocs/op is the
+// contract — SubmitDedup's one-element arrays must stay on the stack.
+func BenchmarkSubmitSingle(b *testing.B) {
+	for _, bc := range []struct{ name, key string }{{"keyless", ""}, {"retried-key", "k"}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := NewShardedCollector(8)
+			if err := c.Ledger.Register(Node{ID: "node-00"}); err != nil {
+				b.Fatal(err)
+			}
+			r := Reading{Node: "node-00", SignalID: "sig-a", PowerDBm: -50, At: t0, Key: bc.key}
+			if _, err := c.SubmitDedup(r); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.SubmitDedup(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

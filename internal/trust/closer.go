@@ -8,13 +8,13 @@ import (
 // Background epoch closer. CloseEpochs does the collector's heavy
 // lifting — stripe scans, consensus checks, correlation over history,
 // durable score appends — and historically every embedder (spectrumd's
-// epoch loop, loadgen's durability scenario, tests) rolled its own
-// goroutine around it. The closer is that goroutine, owned by the
-// collector: submit only appends to pending state and flips a stripe
-// dirty-mark, and the closer's drain pass visits only stripes the marks
-// (or a nonzero open-window count) say have work. One implementation,
-// injectable clocks for simulated time, and a pluggable Run hook so the
-// replica coordinator's merge-close rides the same cadence machinery.
+// epoch loop, the bench harness, tests) rolled its own goroutine around
+// it. The closer is that goroutine, owned by the collector: submit only
+// appends to pending state and flips a stripe dirty-mark, and the
+// closer's drain pass visits only stripes the marks (or a nonzero
+// open-window count) say have work. One implementation, injectable
+// clocks for simulated time, and a pluggable Run hook so the replica
+// coordinator's merge-close rides the same cadence machinery.
 
 // CloserConfig configures StartCloser.
 type CloserConfig struct {

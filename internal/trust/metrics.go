@@ -24,21 +24,7 @@ type collectorMetrics struct {
 	closeLag      *obs.Histogram  // epoch age at close (cutoff − window start)
 	storeErrors   *obs.Counter    // durable appends that failed
 	shedTotal     *obs.Counter    // requests shed while the store is degraded
-	// contention counters, one per stripe family, pre-resolved so the
-	// hot path never does a label lookup.
-	contention [stripeKinds]*obs.Counter
 }
-
-// Stripe families for contention accounting.
-const (
-	stripeEpoch = iota
-	stripeDedup
-	stripeFresh
-	stripeKinds
-)
-
-// stripeNames are the label values for collector_shard_contention_total.
-var stripeNames = [stripeKinds]string{"epoch", "dedup", "fresh"}
 
 // Instrument registers the collector's metrics on reg (the process-wide
 // default when nil) and starts recording. It returns c for chaining.
@@ -57,9 +43,6 @@ var stripeNames = [stripeKinds]string{"epoch", "dedup", "fresh"}
 //	collector_submit_seconds     — per-reading ingest latency histogram
 //	collector_submit_batch_size  — readings per SubmitBatch call
 //	collector_epoch_close_lag_seconds — epoch age (cutoff − window start) at close
-//	collector_shards             — ingest lock-stripe count
-//	collector_shard_contention_total{stripe} — stripe lock acquisitions
-//	                               that found the lock held (TryLock miss)
 func (c *Collector) Instrument(reg *obs.Registry) *Collector {
 	if reg == nil {
 		reg = obs.Default()
@@ -104,14 +87,6 @@ func (c *Collector) Instrument(reg *obs.Registry) *Collector {
 	reg.GaugeFunc("collector_store_lag_updates",
 		"Score updates applied in memory but still awaiting a durable append.",
 		func() float64 { return float64(c.StoreLag()) })
-	contention := reg.CounterVec("collector_shard_contention_total",
-		"Stripe lock acquisitions that found the lock held (fast-path TryLock miss), by stripe family.",
-		"stripe")
-	for i, name := range stripeNames {
-		m.contention[i] = contention.With(name)
-	}
-	reg.Gauge("collector_shards",
-		"Lock stripes in the collector ingest path.").Set(float64(c.Shards()))
 	// Pre-seed the detector kinds so the series exist at zero instead of
 	// appearing only after the first violation.
 	m.anomalies.With("over-consensus-power")
@@ -153,7 +128,7 @@ func (m *collectorMetrics) recordEpochClosed(anomalies []Anomaly) {
 // recordCloseLag observes how old an epoch was when it closed. Measured
 // against the close cutoff (not wall time) so the number is deterministic
 // and means the same thing on the coordinator merge path, a follower
-// install, and a loadgen run with synthetic timestamps.
+// install, and a bench replay with synthetic timestamps.
 func (m *collectorMetrics) recordCloseLag(cutoff, windowStart time.Time) {
 	if m == nil {
 		return
@@ -175,13 +150,6 @@ func (m *collectorMetrics) recordRequest(endpoint string) {
 		return
 	}
 	m.httpRequests.With(endpoint).Inc()
-}
-
-func (m *collectorMetrics) recordContention(which int) {
-	if m == nil {
-		return
-	}
-	m.contention[which].Inc()
 }
 
 func (m *collectorMetrics) recordStoreAppendError() {

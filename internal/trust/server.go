@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sensorcal/internal/hash"
 	"sensorcal/internal/obs"
 )
 
@@ -173,9 +172,6 @@ func (c *Collector) flushStore(at time.Time, updates []ScoreUpdate) {
 	c.storeDegraded.Store(false)
 }
 
-// Shards returns the stripe count the collector was built with.
-func (c *Collector) Shards() int { return len(c.epochs) }
-
 // tracer resolves the span destination.
 func (c *Collector) tracer() *obs.Tracer {
 	if c.Tracer != nil {
@@ -203,67 +199,13 @@ func (c *Collector) Submit(r Reading) error {
 // SubmitDedup ingests one reading and reports whether it was dropped as a
 // duplicate of an already-accepted idempotency key. Duplicates are not an
 // error: from a retrying client's point of view the reading has been
-// delivered.
+// delivered. It is SubmitBatch with one element; the arrays stay on the
+// stack, so the single-reading path allocates nothing of its own.
 func (c *Collector) SubmitDedup(r Reading) (duplicate bool, err error) {
-	defer func() { c.metrics.recordSubmit(duplicate, err) }()
-	if m := c.metrics; m != nil {
-		start := time.Now()
-		defer func() { m.submitSeconds.Observe(time.Since(start).Seconds()) }()
-	}
-	// A reading carrying its origin's traceparent gets an ingest span
-	// parented into that trace — the link that survives hours in the
-	// agent's spool. Unsampled origins (the common case at low ratios)
-	// make StartRemote return nil and every span call below a no-op.
-	if r.Trace != "" {
-		if psc, ok := obs.ParseTraceParent(r.Trace); ok {
-			if span := c.tracer().StartRemote(psc, "trust.ingest"); span != nil {
-				span.SetAttr("node", string(r.Node))
-				span.SetAttr("signal", r.SignalID)
-				defer func() {
-					if err != nil {
-						span.SetError(err)
-					}
-					if duplicate {
-						span.SetAttr("duplicate", "true")
-					}
-					span.End()
-				}()
-			}
-		}
-	}
-	if err := c.validate(&r); err != nil {
-		return false, err
-	}
-	if r.Key != "" {
-		h := fnv1a(r.Key)
-		d := &c.dedups[h&c.mask]
-		slot := hash.Mix64(h)
-		// Lock-free fast path: a retried key whose slot still points at
-		// it is a duplicate with certainty — no lock, no map lookup.
-		if d.fastDup(slot, r.Key) {
-			return true, nil
-		}
-		c.lockCounted(&d.mu, stripeDedup)
-		if d.dup(r.Key) {
-			d.mu.Unlock()
-			return true, nil
-		}
-		d.remember(slot, r.Key, c.dedupLimit())
-		d.mu.Unlock()
-	}
-	// The staleness signal the measurement scheduler plans from: the
-	// newest evidence timestamp per node. Reading time, not arrival time,
-	// so a spool replay of old readings does not fake freshness. touch is
-	// lock-free (CAS-max on a per-node atomic), so freshness traffic
-	// never contends.
-	c.fresh[fnv1a(string(r.Node))&c.mask].touch(r.Node, r.At)
-	window := r.At.Truncate(c.EpochWindow)
-	st := &c.epochs[fnv1a(r.SignalID)&c.mask]
-	c.lockCounted(&st.mu, stripeEpoch)
-	st.insertLocked(r.SignalID, window, r.Node, r.PowerDBm)
-	st.mu.Unlock()
-	st.markDirty()
-	return false, nil
+	rs := [1]Reading{r}
+	var outs [1]SubmitOutcome
+	c.SubmitBatch(rs[:], outs[:])
+	return outs[0].Duplicate, outs[0].Err
 }
 
 // maxAbsPowerDBm bounds a reading's power. Nothing a receiver measures
@@ -287,17 +229,6 @@ func (c *Collector) validate(r *Reading) error {
 		return fmt.Errorf("trust: power %g dBm is not a measurement (|dBm| ≤ %d)", r.PowerDBm, maxAbsPowerDBm)
 	}
 	return nil
-}
-
-// lockCounted acquires mu, counting the acquisition as contended when a
-// fast-path TryLock fails. The counter makes shard pressure visible
-// without the cost of the mutex profiler in the steady state.
-func (c *Collector) lockCounted(mu *sync.Mutex, which int) {
-	if mu.TryLock() {
-		return
-	}
-	c.metrics.recordContention(which)
-	mu.Lock()
 }
 
 // CloseEpochs finalizes every pending epoch that started before the

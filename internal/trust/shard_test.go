@@ -31,7 +31,7 @@ func shardWorkload(nNodes, nSignals, nWindows int, seed uint64) []Reading {
 			sig := fmt.Sprintf("tv-%d", 500+s)
 			for n := 0; n < nNodes; n++ {
 				id := NodeID(fmt.Sprintf("node-%02d", n))
-				p := -55 + trend + float64(int(next()%5))-2
+				p := -55 + trend + float64(int(next()%5)) - 2
 				switch n {
 				case 0: // inflates: flagrantly above consensus
 					p = -10
@@ -62,12 +62,12 @@ func newWorkloadCollector(t *testing.T, shards, nNodes int) *Collector {
 	return c
 }
 
-// submitSerial feeds readings through SubmitDedup one at a time — the
-// reference ingest path every other entry point is pinned against.
+// submitSerial feeds readings through oracleSubmitDedup one at a time —
+// the reference ingest body every entry point is pinned against.
 func submitSerial(t *testing.T, c *Collector, rs []Reading) {
 	t.Helper()
 	for _, r := range rs {
-		if _, err := c.SubmitDedup(r); err != nil {
+		if _, err := oracleSubmitDedup(c, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,8 +95,8 @@ func submitBatched(t *testing.T, c *Collector, rs []Reading) {
 }
 
 // TestShardedCollectorEquivalence replays an identical workload into
-// collectors at 1, 4 and 16 shards — through both the serial SubmitDedup
-// path and the batched SubmitBatch path — and requires byte-identical
+// collectors at 1, 4 and 16 shards — through both the serial reference
+// body and the batched SubmitBatch path — and requires byte-identical
 // results from every merge path: CloseEpochs anomalies (order included),
 // Fleet, History, PendingEpochs, and final ledger scores. The 1-shard
 // serial collector is semantically the old single-lock collector, so
@@ -329,7 +329,7 @@ func TestShardedCollectorConcurrentStress(t *testing.T) {
 }
 
 // BenchmarkSubmitSharded measures raw ingest throughput at several
-// stripe counts — the microbench behind cmd/loadgen's macro numbers.
+// stripe counts through the one-element SubmitBatch, in parallel.
 func BenchmarkSubmitSharded(b *testing.B) {
 	for _, shards := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

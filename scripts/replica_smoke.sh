@@ -12,15 +12,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=${1:-replica-smoke}
-mkdir -p "$OUT"
-WORK=$(mktemp -d)
-cleanup() {
-  kill $(jobs -p) 2>/dev/null || true
-  wait 2>/dev/null || true
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
+source scripts/lib.sh "${1:-replica-smoke}"
 
 A1=127.0.0.1:18201
 A2=127.0.0.1:18202
@@ -29,21 +21,12 @@ RING="r1=http://$A1,r2=http://$A2,r3=http://$A3"
 # Every member shares the ring secret; /replica/* rejects anyone else.
 export SENSORCAL_RING_SECRET=smoke-ring-secret
 
-go build -o "$WORK" ./cmd/spectrumd
+build_cmds spectrumd
 
 start_replica() { # id addr
   "$WORK/spectrumd" -addr "$2" -replica-id "$1" -ring "$RING" \
     -wal "$WORK/wal-$1" -epoch 1s -catchup-wait 10s \
     >>"$OUT/spectrumd-$1.log" 2>&1 &
-}
-
-wait_ready() { # addr what
-  for i in $(seq 1 50); do
-    curl -fsS "http://$1/readyz" >/dev/null 2>&1 && return 0
-    sleep 0.2
-  done
-  echo "FAIL: $2 never became ready" >&2
-  exit 1
 }
 
 start_replica r1 "$A1"

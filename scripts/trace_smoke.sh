@@ -12,36 +12,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=${1:-trace-smoke}
-mkdir -p "$OUT"
-WORK=$(mktemp -d)
-cleanup() {
-  kill $(jobs -p) 2>/dev/null || true
-  wait 2>/dev/null || true
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
+source scripts/lib.sh "${1:-trace-smoke}"
 
 SPECTRUM=127.0.0.1:18025
 SCHED=127.0.0.1:18027
 
-go build -o "$WORK" ./cmd/spectrumd ./cmd/schedd ./cmd/agentd
+build_cmds spectrumd schedd agentd
 
-"$WORK/spectrumd" -addr "$SPECTRUM" -state "$WORK/ledger.json" -wal "$WORK/wal" \
+"$WORK/spectrumd" -addr "$SPECTRUM" -wal "$WORK/wal" \
   -trace-export "$OUT/spectrumd-spans.jsonl" >"$OUT/spectrumd.log" 2>&1 &
 "$WORK/schedd" -addr "$SCHED" -nodes node-1 -plan-every 2s \
   -trace-export "$OUT/schedd-spans.jsonl" >"$OUT/schedd.log" 2>&1 &
 
-# /readyz, not /metrics: the metrics endpoint answers while spectrumd is
-# still replaying its WAL; readiness flips only once the ledger is live.
-for i in $(seq 1 50); do
-  if curl -fsS "http://$SPECTRUM/readyz" >/dev/null 2>&1 &&
-     curl -fsS "http://$SCHED/readyz" >/dev/null 2>&1; then
-    break
-  fi
-  [ "$i" -eq 50 ] && { echo "daemons never became ready" >&2; exit 1; }
-  sleep 0.2
-done
+wait_ready "$SPECTRUM" spectrumd
+wait_ready "$SCHED" schedd
 
 # One leased measurement, then exit. The simulated agent clock races
 # through the scheduled window, so this takes seconds of wall time.
