@@ -9,8 +9,10 @@ package hash
 
 // FNV1a is the 64-bit FNV-1a hash, inlined so callers on hot paths do
 // not allocate a hash.Hash. The identity test cross-checks it against
-// stdlib hash/fnv.
-func FNV1a(s string) uint64 {
+// stdlib hash/fnv. It takes the bytes of a request body as readily as a
+// string, so hashing a key still sitting in a decode buffer does not
+// copy it.
+func FNV1a[T string | []byte](s T) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/subtle"
 	"encoding/json"
@@ -220,23 +219,6 @@ type wireRegister struct {
 	Lon            float64 `json:"lon"`
 	ClaimedOutdoor bool    `json:"claimed_outdoor"`
 	Hardware       string  `json:"hardware"`
-}
-
-type wireReading struct {
-	Node     string    `json:"node"`
-	SignalID string    `json:"signal_id"`
-	PowerDBm float64   `json:"power_dbm"`
-	At       time.Time `json:"at"`
-	Key      string    `json:"key,omitempty"`
-	Trace    string    `json:"trace,omitempty"`
-}
-
-func (r wireReading) reading(now func() time.Time) trust.Reading {
-	at := r.At
-	if at.IsZero() {
-		at = now()
-	}
-	return trust.Reading{Node: trust.NodeID(r.Node), SignalID: r.SignalID, PowerDBm: r.PowerDBm, At: at, Key: r.Key, Trace: r.Trace}
 }
 
 type wireBatchResponse struct {
@@ -539,8 +521,11 @@ func (n *Node) broadcastRegister(node trust.Node) {
 
 // serveReadings partitions a submission by ring ownership: owned
 // readings apply locally, the rest are proxied per-owner with the
-// forward header set. A forward failure fails the whole request with
-// 503 + Retry-After — the readings the proxy could not place were never
+// forward header set. A misrouted element is forwarded as the bytes it
+// arrived in — decoded once here to find its owner, once more by the
+// owner, re-encoded never — so the owner sees exactly what the agent
+// sent. A forward failure fails the whole request with 503 +
+// Retry-After — the readings the proxy could not place were never
 // acknowledged, and the idempotency keys on the locally-applied prefix
 // make the client's retry safe. A request arriving with the forward
 // header AND the ring credential is applied entirely locally (a peer
@@ -548,16 +533,17 @@ func (n *Node) broadcastRegister(node trust.Node) {
 // ignored and the batch routes normally.
 func (n *Node) serveReadings(w http.ResponseWriter, r *http.Request) {
 	forwarded := r.Header.Get(ForwardHeader) != "" && n.authorized(r)
-	br := bufio.NewReaderSize(io.LimitReader(r.Body, maxBody), 32<<10)
-	first, err := peekNonSpace(br)
-	if err != nil {
-		http.Error(w, "empty or unreadable body", http.StatusBadRequest)
-		return
-	}
-	dec := json.NewDecoder(br)
-	single := first != '['
 	var resp wireBatchResponse
-	remote := make(map[string][]wireReading)
+	// One forward body per owner, indexed like the ring's member list, so
+	// owners are tried in the same order on every run. Each is allocated
+	// for this request and never reused: the transport may still be
+	// reading it after Client.Do returns (an owner that answers 503
+	// before it reads the body), so it can belong to no pool.
+	type misrouted struct {
+		body  []byte // "[elem,elem" until forward closes it
+		count int
+	}
+	remote := make([]misrouted, n.ring.Len())
 	// The locally-owned partition accumulates into chunks and ingests
 	// through the collector's batched entry point — the same SubmitBatch
 	// the single-collector /api/readings path uses — so each stripe lock
@@ -587,51 +573,42 @@ func (n *Node) serveReadings(w http.ResponseWriter, r *http.Request) {
 		n.m.localReadings.Add(float64(len(local)))
 		local = local[:0]
 	}
-	apply := func(req wireReading) {
+	batch, err := n.col.DecodeReadings(r.Body, n.now, func(rd trust.Reading, raw []byte) {
 		if !forwarded {
-			if owner := n.ring.Owner(req.Node); owner.ID != n.self.ID {
-				remote[owner.ID] = append(remote[owner.ID], req)
+			if oi := n.ring.ownerIndex(string(rd.Node)); n.ring.members[oi].ID != n.self.ID {
+				g := &remote[oi]
+				sep := byte(',')
+				if g.count == 0 {
+					sep = '['
+				}
+				g.body = append(append(g.body, sep), raw...)
+				g.count++
 				return
 			}
 		}
-		local = append(local, req.reading(n.now))
+		local = append(local, rd)
 		if len(local) >= localChunk {
 			flushLocal()
 		}
-	}
-	if single {
-		var req wireReading
-		if err := dec.Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		apply(req)
-	} else {
-		if _, err := dec.Token(); err != nil { // consume '['
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		for i := 0; dec.More(); i++ {
-			var req wireReading
-			if err := dec.Decode(&req); err != nil {
-				// Ingest the well-formed prefix before rejecting, matching
-				// the submit-as-you-decode behaviour retries depend on.
-				flushLocal()
-				http.Error(w, fmt.Sprintf("batch element %d: %v", i, err), http.StatusBadRequest)
-				return
-			}
-			apply(req)
-		}
-		if _, err := dec.Token(); err != nil { // consume ']'
-			flushLocal()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
+	})
+	// Ingest the well-formed prefix before rejecting, matching the
+	// submit-as-you-decode behaviour retries depend on.
 	flushLocal()
-	for ownerID, group := range remote {
-		owner, _ := n.ring.Member(ownerID)
-		sub, err := n.forward(owner, group)
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	for oi, g := range remote {
+		if g.count == 0 {
+			continue
+		}
+		owner := n.ring.members[oi]
+		sub, err := n.forward(owner, append(g.body, ']'))
 		if err != nil {
 			// Never acknowledge evidence that was not placed: shed and let
 			// the agent's retrier replay the whole batch.
@@ -641,10 +618,10 @@ func (n *Node) serveReadings(w http.ResponseWriter, r *http.Request) {
 				retryAfter = 5 * time.Second
 			}
 			obs.SetRetryAfter(w, retryAfter)
-			http.Error(w, fmt.Sprintf("forwarding to replica %s failed: %v", ownerID, err), http.StatusServiceUnavailable)
+			http.Error(w, fmt.Sprintf("forwarding to replica %s failed: %v", owner.ID, err), http.StatusServiceUnavailable)
 			return
 		}
-		n.m.forwardedReadings.Add(float64(len(group)))
+		n.m.forwardedReadings.Add(float64(g.count))
 		resp.Accepted += sub.Accepted
 		resp.Duplicates += sub.Duplicates
 		resp.Rejected += sub.Rejected
@@ -654,7 +631,7 @@ func (n *Node) serveReadings(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if single {
+	if !batch {
 		// Mirror the collector's single-object contract: bare 202 on
 		// success, 400 when the one reading was rejected.
 		if resp.Rejected > 0 {
@@ -673,14 +650,10 @@ func (n *Node) serveReadings(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(&resp)
 }
 
-// forward proxies a misrouted group to its owner and returns the
-// owner's batch summary.
-func (n *Node) forward(owner Member, group []wireReading) (wireBatchResponse, error) {
+// forward proxies a misrouted group — a JSON array of the elements as
+// they arrived — to its owner and returns the owner's batch summary.
+func (n *Node) forward(owner Member, body []byte) (wireBatchResponse, error) {
 	var out wireBatchResponse
-	body, err := json.Marshal(group)
-	if err != nil {
-		return out, err
-	}
 	req, err := n.newPeerRequest(http.MethodPost, owner.URL+"/api/readings", bytes.NewReader(body))
 	if err != nil {
 		return out, err
@@ -759,24 +732,4 @@ func (n *Node) fetchActivity(peer Member) (map[trust.NodeID]time.Time, error) {
 		return nil, err
 	}
 	return snap, nil
-}
-
-// peekNonSpace returns the first non-whitespace byte without consuming
-// it — the same single-object/batch dispatch the collector's ingest
-// path uses.
-func peekNonSpace(br *bufio.Reader) (byte, error) {
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		}
-		if err := br.UnreadByte(); err != nil {
-			return 0, err
-		}
-		return b, nil
-	}
 }

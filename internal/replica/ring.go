@@ -101,13 +101,16 @@ func NewRing(members []Member, vnodes int) (*Ring, error) {
 
 // Owner returns the member that owns key (a trust node ID): the first
 // virtual node clockwise from the key's hash.
-func (r *Ring) Owner(key string) Member {
+func (r *Ring) Owner(key string) Member { return r.members[r.ownerIndex(key)] }
+
+// ownerIndex is Owner as an index into the ID-sorted member list.
+func (r *Ring) ownerIndex(key string) int {
 	h := ringHash(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
 	}
-	return r.members[r.points[i].member]
+	return r.points[i].member
 }
 
 // Members returns the member set sorted by ID.

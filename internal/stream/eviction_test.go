@@ -113,6 +113,7 @@ func TestConcurrentEvictReregisterChurn(t *testing.T) {
 		accepted atomic.Int64
 		doneN    atomic.Int64
 		wg       sync.WaitGroup
+		writing  sync.WaitGroup
 	)
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -129,9 +130,9 @@ func TestConcurrentEvictReregisterChurn(t *testing.T) {
 	}()
 	deadline := time.Now().Add(duration)
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
+		writing.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer writing.Done()
 			iq := make([]complex128, 64)
 			for i := 0; time.Now().Before(deadline); i++ {
 				id := "churn-" + string(rune('a'+(w+i)%sensors))
@@ -145,8 +146,10 @@ func TestConcurrentEvictReregisterChurn(t *testing.T) {
 			}
 		}(w)
 	}
-	// Writers finish first so the evictor churns through the whole run.
-	time.Sleep(time.Until(deadline))
+	// Writers finish first so the evictor churns through the whole run —
+	// and so no Ingest is still in flight when Close drains the queue (a
+	// frame queued after the drain has nobody left to fire its Done).
+	writing.Wait()
 	s.Close() // drains the queue: every accepted frame's Done must fire
 	close(stop)
 	wg.Wait()

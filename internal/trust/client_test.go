@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"sensorcal/internal/obs"
 	"sensorcal/internal/resilience"
 )
 
@@ -188,7 +189,8 @@ func (l *lossyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 func TestClientSpoolsAndDrainsWithoutDuplicates(t *testing.T) {
-	col := newTestCollector(t, "node-1")
+	reg := obs.NewRegistry()
+	col := newTestCollector(t, "node-1").Instrument(reg)
 	srv := httptest.NewServer(Harden(col.Handler(func() time.Time { return time.Unix(600, 0) }), HardenConfig{}))
 	defer srv.Close()
 
@@ -217,6 +219,9 @@ func TestClientSpoolsAndDrainsWithoutDuplicates(t *testing.T) {
 			Node: "node-1", SignalID: "tv-521MHz", PowerDBm: -60,
 			At: time.Unix(int64(600+i*60), 0),
 		}
+		if i%3 == 0 {
+			r.Trace = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
+		}
 		if err := client.Submit(r); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
@@ -229,6 +234,11 @@ func TestClientSpoolsAndDrainsWithoutDuplicates(t *testing.T) {
 	}
 	if client.SpoolDepth() != 0 {
 		t.Fatalf("spool depth after drain = %d, want 0", client.SpoolDepth())
+	}
+	// What a Client ships is the plain wire form: none of it may need the
+	// encoding/json fallback, or the fleet is not on the fast decode path.
+	if got := reg.Counter("trust_readings_decode_fallback_total", "").Value(); got != 0 {
+		t.Fatalf("trust_readings_decode_fallback_total = %v after a Client drain, want 0", got)
 	}
 	// Every response-lost batch was retried; dedup must have kept each
 	// reading in exactly one epoch.

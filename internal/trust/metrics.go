@@ -24,6 +24,7 @@ type collectorMetrics struct {
 	closeLag      *obs.Histogram  // epoch age at close (cutoff − window start)
 	storeErrors   *obs.Counter    // durable appends that failed
 	shedTotal     *obs.Counter    // requests shed while the store is degraded
+	decodeSlow    *obs.Counter    // /api/readings elements decoded by encoding/json
 }
 
 // Instrument registers the collector's metrics on reg (the process-wide
@@ -40,6 +41,7 @@ type collectorMetrics struct {
 //	trust_nodes_registered       — ledger size (scrape-time callback)
 //	trust_pending_epochs         — open epochs awaiting closure (callback)
 //	trust_http_requests_total{endpoint} — API traffic
+//	trust_readings_decode_fallback_total — /api/readings elements the fast decoder declined
 //	collector_submit_seconds     — per-reading ingest latency histogram
 //	collector_submit_batch_size  — readings per SubmitBatch call
 //	collector_epoch_close_lag_seconds — epoch age (cutoff − window start) at close
@@ -75,6 +77,8 @@ func (c *Collector) Instrument(reg *obs.Registry) *Collector {
 			"Durable store appends (registrations, epoch-close score batches) that failed."),
 		shedTotal: reg.Counter("trust_store_shed_total",
 			"Mutating API requests shed with 503 while the durable store was degraded."),
+		decodeSlow: reg.Counter("trust_readings_decode_fallback_total",
+			"/api/readings elements the plain-object fast path declined and encoding/json decoded (escapes, non-ASCII, unknown or repeated keys, null, malformed); 0 for a fleet of trust.Client agents."),
 	}
 	reg.GaugeFunc("collector_store_degraded",
 		"1 while the durable store is erroring and mutating traffic is shed, else 0.",
@@ -164,4 +168,11 @@ func (m *collectorMetrics) recordShed() {
 		return
 	}
 	m.shedTotal.Inc()
+}
+
+func (m *collectorMetrics) recordDecodeFallback() {
+	if m == nil {
+		return
+	}
+	m.decodeSlow.Inc()
 }

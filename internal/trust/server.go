@@ -1,12 +1,10 @@
 package trust
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -323,13 +321,9 @@ type submitRequest struct {
 	Trace    string    `json:"trace,omitempty"`
 }
 
-// reading converts the wire form, defaulting a zero timestamp to now.
-func (s submitRequest) reading(now func() time.Time) Reading {
-	at := s.At
-	if at.IsZero() {
-		at = now()
-	}
-	return Reading{Node: NodeID(s.Node), SignalID: s.SignalID, PowerDBm: s.PowerDBm, At: at, Key: s.Key, Trace: s.Trace}
+// reading converts the wire form; the decoder stamps a zero At with now.
+func (s submitRequest) reading() Reading {
+	return Reading{Node: NodeID(s.Node), SignalID: s.SignalID, PowerDBm: s.PowerDBm, At: s.At, Key: s.Key, Trace: s.Trace}
 }
 
 // batchResponse summarizes a batch submission. Rejected readings are
@@ -358,23 +352,16 @@ type fleetEntry struct {
 	LastReadingAt time.Time `json:"last_reading_at"`
 }
 
-// maxReadingsBody bounds one /api/readings request body.
-const maxReadingsBody = 16 << 20
-
 // ingestChunk bounds how many decoded readings accumulate before a
 // SubmitBatch flush: big enough to amortize each stripe lock across
 // hundreds of readings, small enough that a 10k-reading body still
 // ingests in O(chunk) memory, preserving the streaming-decode bound.
 const ingestChunk = 256
 
-// ingestScratch is the pooled per-request decode state for /api/readings:
-// a reusable buffered reader, request/response structs, and the chunk
-// buffers the batched submit path flushes through, so the steady-state
-// ingest path allocates only what encoding/json needs for one array
-// element — never a second full-body copy.
+// ingestScratch is the pooled per-request state of /api/readings: the
+// response summary and the chunk buffers the batched submit path
+// flushes through.
 type ingestScratch struct {
-	br    *bufio.Reader
-	req   submitRequest
 	resp  batchResponse
 	chunk []Reading
 	outs  []SubmitOutcome
@@ -382,10 +369,7 @@ type ingestScratch struct {
 
 var ingestPool = sync.Pool{
 	New: func() interface{} {
-		return &ingestScratch{
-			br:    bufio.NewReaderSize(nil, 32<<10),
-			chunk: make([]Reading, 0, ingestChunk),
-		}
+		return &ingestScratch{chunk: make([]Reading, 0, ingestChunk)}
 	},
 }
 
@@ -412,97 +396,52 @@ func (c *Collector) flushChunk(sc *ingestScratch) {
 	sc.chunk = sc.chunk[:0]
 }
 
-// peekNonSpace returns the first non-whitespace byte without consuming
-// it, so the handler can dispatch between the single-object and batch
-// wire forms before streaming the body through one json.Decoder.
-func peekNonSpace(br *bufio.Reader) (byte, error) {
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		}
-		if err := br.UnreadByte(); err != nil {
-			return 0, err
-		}
-		return b, nil
+// decodeStatus maps a DecodeReadings error to its response code: 413
+// for a body over the cap, 400 for one that does not parse.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
 	}
+	return http.StatusBadRequest
 }
 
-// serveReadings ingests the POST /api/readings body. The batch form (a
-// JSON array of readings) is decoded as a token stream — element by
-// element through one json.Decoder — so a 10k-reading batch is never
-// materialized as a []submitRequest and the body bytes are read exactly
-// once. Decoded elements accumulate into ingestChunk-sized groups and
-// ingest through SubmitBatch, which takes each stripe lock once per
-// chunk instead of once per reading. Each element is individually
-// accepted, deduplicated or rejected; a malformed element flushes the
-// decoded prefix and aborts with 400 mid-stream, and the idempotency
-// keys on the already-ingested prefix make the client's retry safe.
+// serveReadings ingests the POST /api/readings body. DecodeReadings
+// streams it element by element, so a 10k-reading batch is never
+// materialized and the body bytes are read exactly once. Decoded
+// elements accumulate into ingestChunk-sized groups and ingest through
+// SubmitBatch, which takes each stripe lock once per chunk instead of
+// once per reading. Each element is individually accepted, deduplicated
+// or rejected; a malformed element aborts with 400 mid-stream after the
+// decoded prefix is ingested, and the idempotency keys on that prefix
+// make the client's retry safe.
 func (c *Collector) serveReadings(w http.ResponseWriter, r *http.Request, now func() time.Time) {
 	sc := ingestPool.Get().(*ingestScratch)
-	defer func() {
-		sc.br.Reset(nil)
-		ingestPool.Put(sc)
-	}()
-	sc.br.Reset(io.LimitReader(r.Body, maxReadingsBody))
-	first, err := peekNonSpace(sc.br)
-	if err != nil {
-		http.Error(w, "empty or unreadable body", http.StatusBadRequest)
-		return
-	}
-	dec := json.NewDecoder(sc.br)
-	if first != '[' {
-		// Single-object form.
-		sc.req = submitRequest{}
-		if err := dec.Decode(&sc.req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := c.Submit(sc.req.reading(now)); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
-		return
-	}
-	// Batch form: a JSON array of readings. The summary lets a
-	// store-and-forward client ack its whole batch: duplicates were
-	// already delivered, rejections can never succeed.
-	if _, err := dec.Token(); err != nil { // consume '['
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+	defer ingestPool.Put(sc)
 	sc.resp = batchResponse{Errors: sc.resp.Errors[:0]}
 	sc.chunk = sc.chunk[:0]
-	for i := 0; dec.More(); i++ {
-		sc.req = submitRequest{}
-		if err := dec.Decode(&sc.req); err != nil {
-			// Ingest what already decoded cleanly, then reject: the
-			// pre-chunking behaviour (submit-as-you-decode) ingested the
-			// full well-formed prefix, and the client's retry logic
-			// depends on that.
-			c.flushChunk(sc)
-			http.Error(w, fmt.Sprintf("batch element %d: %v", i, err), http.StatusBadRequest)
-			return
-		}
-		sc.chunk = append(sc.chunk, sc.req.reading(now))
+	batch, err := c.DecodeReadings(r.Body, now, func(rd Reading, _ []byte) {
+		sc.chunk = append(sc.chunk, rd)
 		if len(sc.chunk) >= ingestChunk {
 			c.flushChunk(sc)
 		}
-	}
-	if _, err := dec.Token(); err != nil { // consume ']'
-		c.flushChunk(sc)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+	})
 	c.flushChunk(sc)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	_ = json.NewEncoder(w).Encode(&sc.resp)
+	switch {
+	case err != nil:
+		http.Error(w, err.Error(), decodeStatus(err))
+	case batch:
+		// The summary lets a store-and-forward client ack its whole
+		// batch: duplicates were already delivered, rejections can never
+		// succeed.
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		_ = json.NewEncoder(w).Encode(&sc.resp)
+	case sc.resp.Rejected > 0:
+		http.Error(w, sc.resp.Errors[0], http.StatusBadRequest)
+	default:
+		w.WriteHeader(http.StatusAccepted)
+	}
 }
 
 // Handler exposes the collector over HTTP:

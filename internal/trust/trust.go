@@ -18,6 +18,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"sensorcal/internal/hash"
 )
 
 // NodeID identifies a registered sensor node.
@@ -112,6 +114,20 @@ func (l *Ledger) Node(id NodeID) (Node, bool) {
 		return Node{}, false
 	}
 	return *n, true
+}
+
+// internID returns id as a NodeID without allocating when the node is
+// registered: the ledger's own copy of the string stands in for the
+// bytes, which the caller (the ingest decoder) is about to overwrite.
+func (l *Ledger) internID(id []byte) NodeID {
+	st := &l.stripes[hash.FNV1a(id)&(ledgerStripes-1)]
+	st.mu.RLock()
+	n, ok := st.nodes[NodeID(id)]
+	st.mu.RUnlock()
+	if ok {
+		return n.ID
+	}
+	return NodeID(id)
 }
 
 // Nodes returns every registered node, sorted by ID.
