@@ -31,7 +31,6 @@ func TestDaemonMountsStreamRoutes(t *testing.T) {
 	d, _ := newTestDaemon(t, time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 	sv, err := stream.NewService(stream.Config{
 		FFTSize:  128,
-		Linger:   -1,
 		Registry: obs.NewRegistry(),
 		Grid:     stream.GridConfig{LowHz: 500e6, HighHz: 700e6},
 	})

@@ -23,6 +23,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"sensorcal/internal/dsp"
@@ -81,7 +82,7 @@ func NewEngine(fftSize int, window dsp.WindowFunc) (*Engine, error) {
 // FFTSize returns the frame length the engine accepts.
 func (e *Engine) FFTSize() int { return e.n }
 
-// Job is one sensor frame through the shared engine: IQ in, dBFS bins
+// Job is one sensor frame through the shared engine: IQ in, PSD bins
 // out. Bins must be a caller-owned slice of FFTSize elements — sessions
 // and the bench recycle theirs, which is what makes the steady state
 // allocation-free.
@@ -91,11 +92,18 @@ type Job struct {
 	IQ []complex128
 	// SampleRate is the capture rate in Hz.
 	SampleRate float64
-	// Bins receives the single-periodogram PSD in dBFS, ordered from the
-	// lowest frequency (center − rate/2) upward — the same layout as
-	// spectrum.Frame.BinsDB.
+	// Bins receives the single-periodogram PSD, ordered from the lowest
+	// frequency (center − rate/2) upward — the same layout as
+	// spectrum.Frame.BinsDB. Process writes dBFS, ProcessPower the linear
+	// full-scale-relative power dBFS is the logarithm of.
 	Bins []float64
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// finitePositive reports whether x is a usable rate: x <= 0 alone lets
+// NaN through, and +Inf places every bin at a non-finite frequency.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Process runs one batch of jobs through the engine. The per-frame
 // arithmetic is independent of the batch size and of any other frame in
@@ -104,6 +112,30 @@ type Job struct {
 // gain are the engine's, the twiddle table is fetched once for the whole
 // batch (dsp.FFTBatch), and the spectra scratch comes from the dsp pools.
 func (e *Engine) Process(jobs []Job) error {
+	if err := e.ProcessPower(jobs); err != nil {
+		return err
+	}
+	for i := range jobs {
+		powerToDBFS(jobs[i].Bins, jobs[i].Bins)
+	}
+	return nil
+}
+
+// powerToDBFS writes the dBFS image of power into dst (which may be
+// power itself): the last pass of Process, and what FoldPower hands Fold
+// for a frame it declines.
+func powerToDBFS(dst, power []float64) {
+	for i, p := range power {
+		dst[i] = iq.PowerToDBFS(p)
+	}
+}
+
+// ProcessPower is Process stopped before the logarithm: Bins receives
+// the linear power p of which Process writes iq.PowerToDBFS(p), bit for
+// bit. The service folds occupancy from it (Grid.FoldPower), because
+// inside the service a bin's only consumer is one comparison against a
+// threshold and 256 logarithms per frame were a quarter of its CPU.
+func (e *Engine) ProcessPower(jobs []Job) error {
 	if len(jobs) == 0 {
 		return nil
 	}
@@ -114,7 +146,7 @@ func (e *Engine) Process(jobs []Job) error {
 		if len(jobs[i].Bins) != e.n {
 			return fmt.Errorf("stream: job %d bins length %d, want %d", i, len(jobs[i].Bins), e.n)
 		}
-		if jobs[i].SampleRate <= 0 {
+		if !finitePositive(jobs[i].SampleRate) {
 			return fmt.Errorf("stream: job %d sample rate %v", i, jobs[i].SampleRate)
 		}
 	}
@@ -131,7 +163,7 @@ func (e *Engine) Process(jobs []Job) error {
 	err := dsp.FFTBatch(specs)
 	if err == nil {
 		for i := range jobs {
-			e.finish(jobs[i].Bins, specs[i], jobs[i].SampleRate)
+			e.power(jobs[i].Bins, specs[i], jobs[i].SampleRate)
 		}
 	}
 	for i := range specs {
@@ -141,17 +173,16 @@ func (e *Engine) Process(jobs []Job) error {
 	return err
 }
 
-// finish converts one frame's spectrum into ascending-frequency dBFS
-// bins. The expression structure must stay in lockstep with
-// SerialReference: bit-identity is the contract.
-func (e *Engine) finish(bins []float64, spec []complex128, sampleRate float64) {
+// power converts one frame's spectrum into ascending-frequency linear
+// PSD bins. The expression structure must stay in lockstep with
+// SerialReference: bit-identity (after PowerToDBFS) is the contract.
+func (e *Engine) power(bins []float64, spec []complex128, sampleRate float64) {
 	n := e.n
 	binWidth := sampleRate / float64(n)
 	for i := 0; i < n; i++ {
 		src := (i + n/2) % n // bin 0 of the output is −fs/2
 		re, im := real(spec[src]), imag(spec[src])
-		p := (re*re + im*im) / (e.gain * sampleRate) * binWidth
-		bins[i] = iq.PowerToDBFS(p)
+		bins[i] = (re*re + im*im) / (e.gain * sampleRate) * binWidth
 	}
 }
 
@@ -165,7 +196,7 @@ func SerialReference(iqFrame []complex128, sampleRate float64, fftSize int, wind
 	if len(iqFrame) != fftSize {
 		return nil, fmt.Errorf("stream: frame length %d, want %d", len(iqFrame), fftSize)
 	}
-	if sampleRate <= 0 {
+	if !finitePositive(sampleRate) {
 		return nil, fmt.Errorf("stream: sample rate %v", sampleRate)
 	}
 	if window == nil {

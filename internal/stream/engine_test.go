@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sensorcal/internal/dsp"
+	"sensorcal/internal/iq"
 )
 
 // randFrame builds a deterministic pseudo-sensor frame: a tone plus
@@ -120,6 +121,43 @@ func TestEngineConcurrentProcess(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestProcessIsProcessPowerThenLog pins the split of the engine's last
+// pass: the dBFS bins Process writes are PowerToDBFS of the linear bins
+// ProcessPower writes, bit for bit, at every batch size — so the
+// power-domain fold sees exactly the powers the dB fold sees the
+// logarithms of.
+func TestProcessIsProcessPowerThenLog(t *testing.T) {
+	const n = 256
+	const rate = 2.4e6
+	eng, err := NewEngine(n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batchSize := range []int{1, 8, 64} {
+		db := make([]Job, batchSize)
+		lin := make([]Job, batchSize)
+		for i := range db {
+			frame := randFrame(n, int64(200*batchSize+i))
+			db[i] = Job{IQ: frame, SampleRate: rate, Bins: make([]float64, n)}
+			lin[i] = Job{IQ: frame, SampleRate: rate, Bins: make([]float64, n)}
+		}
+		if err := eng.Process(db); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.ProcessPower(lin); err != nil {
+			t.Fatal(err)
+		}
+		for i := range db {
+			for k, p := range lin[i].Bins {
+				if math.Float64bits(iq.PowerToDBFS(p)) != math.Float64bits(db[i].Bins[k]) {
+					t.Fatalf("batch %d frame %d bin %d: PowerToDBFS(%v) = %v, Process wrote %v",
+						batchSize, i, k, p, iq.PowerToDBFS(p), db[i].Bins[k])
+				}
+			}
 		}
 	}
 }

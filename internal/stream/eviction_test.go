@@ -19,7 +19,6 @@ func TestEvictionDuringFoldNoResurrection(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := NewService(Config{
 		FFTSize:  64,
-		Linger:   -1,
 		Registry: reg,
 		// Sweeps are driven manually via EvictIdle below.
 		IdleAfter:  time.Hour,
@@ -93,7 +92,6 @@ func TestConcurrentEvictReregisterChurn(t *testing.T) {
 		FFTSize:    64,
 		QueueCap:   4096,
 		MaxBatch:   16,
-		Linger:     -1,
 		Workers:    4,
 		IdleAfter:  time.Hour,
 		SweepEvery: time.Hour,

@@ -3,10 +3,12 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
 
+	"sensorcal/internal/dsp"
 	"sensorcal/internal/spectrum"
 )
 
@@ -19,10 +21,11 @@ import (
 // bucket fractions — the "Open and Big Spectrum Data" aggregation API
 // shape from PAPERS.md.
 type Grid struct {
-	cfg     GridConfig
-	buckets int
-	slotSec int64
-	slots   []gridSlot
+	cfg         GridConfig
+	buckets     int
+	slotSec     int64
+	marginRatio float64 // 10^(MarginDB/10): the occupancy margin as a power ratio
+	slots       []gridSlot
 }
 
 // GridConfig shapes a Grid.
@@ -62,9 +65,12 @@ func (c *GridConfig) fill() {
 
 // gridSlot is one time bucket: per-frequency-bucket counts of occupied
 // and total bins, plus how many frames contributed. Each slot carries
-// its own lock — frames land on the current slot, queries sweep all of
-// them, so per-slot locking keeps folds of different time windows (and
-// the query path) off each other's locks.
+// its own lock, which keeps a query's sweep of old slots off the folds —
+// but not the folds off each other: every live frame lands on the
+// current slot for a whole Slot (10 s), so that one mutex is shared by
+// all of them. Nothing that can be computed outside it runs under it,
+// and nothing that can panic: a lock left held by a recovered panic
+// would stop every later fold and query.
 type gridSlot struct {
 	mu       sync.Mutex
 	startSec int64
@@ -91,7 +97,8 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 	if nb > 1<<20 {
 		return nil, fmt.Errorf("stream: %d frequency buckets (band too wide for bucket width %g)", nb, cfg.BucketHz)
 	}
-	g := &Grid{cfg: cfg, buckets: nb, slotSec: int64(cfg.Slot / time.Second), slots: make([]gridSlot, cfg.Slots)}
+	g := &Grid{cfg: cfg, buckets: nb, slotSec: int64(cfg.Slot / time.Second),
+		marginRatio: math.Pow(10, cfg.MarginDB/10), slots: make([]gridSlot, cfg.Slots)}
 	if g.slotSec < 1 {
 		g.slotSec = 1
 	}
@@ -105,23 +112,37 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 // Config returns the grid's (filled) configuration.
 func (g *Grid) Config() GridConfig { return g.cfg }
 
-// Fold accumulates one frame's occupancy into the grid and returns the
-// frame's occupied-bin fraction (for the per-session aggregate). bins
-// are ascending-frequency dBFS as the engine produces; centerHz and
-// sampleRate place them on the spectrum; at selects the time slot.
-func (g *Grid) Fold(bins []float64, centerHz, sampleRate float64, at time.Time) (float64, error) {
-	n := len(bins)
-	if n == 0 || sampleRate <= 0 {
-		return 0, fmt.Errorf("stream: empty frame")
+// place validates a frame's position on the spectrum and returns its
+// lower edge and bin width.
+func (g *Grid) place(n int, centerHz, sampleRate float64) (frameLo, binWidth float64, err error) {
+	if n == 0 || !finitePositive(sampleRate) || !finite(centerHz) {
+		return 0, 0, fmt.Errorf("stream: frame of %d bins, centre %v Hz, rate %v Hz", n, centerHz, sampleRate)
 	}
-	frameLo := centerHz - sampleRate/2
-	binWidth := sampleRate / float64(n)
+	frameLo = centerHz - sampleRate/2
 	if frameLo >= g.cfg.HighHz || frameLo+sampleRate <= g.cfg.LowHz {
-		return 0, ErrOutOfBand
+		return 0, 0, ErrOutOfBand
 	}
-	floor := spectrum.NoiseFloorOf(bins, 0.25)
-	threshold := floor + g.cfg.MarginDB
+	return frameLo, sampleRate / float64(n), nil
+}
 
+// bucketOf returns the frequency bucket bin i of a placed frame counts
+// in, or -1 for a bin outside the monitored band.
+func (g *Grid) bucketOf(frameLo, binWidth float64, i int) int {
+	hz := frameLo + (float64(i)+0.5)*binWidth
+	if hz < g.cfg.LowHz || hz >= g.cfg.HighHz {
+		return -1
+	}
+	b := int((hz - g.cfg.LowHz) / g.cfg.BucketHz)
+	if b < 0 || b >= g.buckets {
+		return -1
+	}
+	return b
+}
+
+// lockSlot returns the ring slot of at, locked, reset in place if the
+// ring lapped (the slot last held an older, or a future backfilled,
+// window).
+func (g *Grid) lockSlot(at time.Time) *gridSlot {
 	slotStart := at.Unix() / g.slotSec * g.slotSec
 	idx := (slotStart / g.slotSec) % int64(len(g.slots))
 	if idx < 0 {
@@ -129,10 +150,7 @@ func (g *Grid) Fold(bins []float64, centerHz, sampleRate float64, at time.Time) 
 	}
 	sl := &g.slots[idx]
 	sl.mu.Lock()
-	defer sl.mu.Unlock()
 	if sl.startSec != slotStart {
-		// The ring lapped: this slot last held an older (or a future
-		// backfilled) window. Reset it in place.
 		sl.startSec = slotStart
 		sl.frames = 0
 		for i := range sl.occ {
@@ -140,15 +158,31 @@ func (g *Grid) Fold(bins []float64, centerHz, sampleRate float64, at time.Time) 
 			sl.bins[i] = 0
 		}
 	}
+	return sl
+}
+
+// Fold accumulates one frame's occupancy into the grid and returns the
+// frame's occupied-bin fraction (for the per-session aggregate). bins
+// are ascending-frequency dBFS as Engine.Process produces; centerHz and
+// sampleRate place them on the spectrum; at selects the time slot. Fold
+// is the definition of the surface; FoldPower is the path the service
+// takes to the same counts.
+func (g *Grid) Fold(bins []float64, centerHz, sampleRate float64, at time.Time) (float64, error) {
+	n := len(bins)
+	frameLo, binWidth, err := g.place(n, centerHz, sampleRate)
+	if err != nil {
+		return 0, err
+	}
+	floor := spectrum.NoiseFloorOf(bins, 0.25)
+	threshold := floor + g.cfg.MarginDB
+
+	sl := g.lockSlot(at)
+	defer sl.mu.Unlock()
 	sl.frames++
 	occupied := 0
 	for i := 0; i < n; i++ {
-		hz := frameLo + (float64(i)+0.5)*binWidth
-		if hz < g.cfg.LowHz || hz >= g.cfg.HighHz {
-			continue
-		}
-		b := int((hz - g.cfg.LowHz) / g.cfg.BucketHz)
-		if b < 0 || b >= g.buckets {
+		b := g.bucketOf(frameLo, binWidth, i)
+		if b < 0 {
 			continue
 		}
 		sl.bins[b]++
@@ -158,6 +192,87 @@ func (g *Grid) Fold(bins []float64, centerHz, sampleRate float64, at time.Time) 
 		}
 	}
 	return float64(occupied) / float64(n), nil
+}
+
+// powerGuard is the relative half-width of the band around the linear
+// threshold (and the floor) inside which FoldPower does not trust its own
+// comparison. Fold's side of the inequality carries the rounding of two
+// logarithms and a sum, under 1e-11 dB for any finite power, which is a
+// relative 3e-12 in power; the guard is three hundred times that.
+const powerGuard = 1e-9
+
+// bucketRun is one frame's contribution to one frequency bucket.
+type bucketRun struct {
+	b         int
+	bins, occ uint32
+}
+
+// FoldPower is Fold for ascending-frequency linear power as
+// Engine.ProcessPower produces: it leaves the surface and returns the
+// fraction Fold does over the bins' dBFS image, without computing it.
+// The floor is the same order statistic (it commutes with a
+// non-decreasing map), the threshold is floor × 10^(MarginDB/10), and
+// verdicts and bucket indices are worked out before the slot mutex is
+// taken, which then covers one add per bucket the frame touches. A frame
+// the linear comparison cannot decide with powerGuard to spare — a bin
+// inside the guard band, a second bin that close to the floor, a floor
+// that is zero, subnormal or too large to scale, a NaN — is converted
+// and handed to Fold, and viaDB reports it. The path depends on the
+// frame's bins alone. DESIGN §15 "Fold in the power domain".
+func (g *Grid) FoldPower(power []float64, centerHz, sampleRate float64, at time.Time) (frac float64, viaDB bool, err error) {
+	n := len(power)
+	frameLo, binWidth, err := g.place(n, centerHz, sampleRate)
+	if err != nil {
+		return 0, false, err
+	}
+	floor := spectrum.NoiseFloorOf(power, 0.25)
+	hi := floor * g.marginRatio * (1 + powerGuard)
+	lo := floor * g.marginRatio * (1 - powerGuard)
+	floorHi, floorLo := floor*(1+powerGuard), floor*(1-powerGuard)
+	decided := floor >= 0x1p-1022 && !math.IsInf(hi, 1)
+
+	var few [8]bucketRun // a 2.4 MHz frame over 1 MHz buckets touches 3 or 4
+	runs := few[:0]
+	occupied, atFloor := 0, 0
+	for i := 0; decided && i < n; i++ {
+		p := power[i]
+		occ := p >= hi
+		if !occ && !(p < lo) {
+			decided = false
+		}
+		if p >= floorLo && p <= floorHi {
+			atFloor++
+		}
+		b := g.bucketOf(frameLo, binWidth, i)
+		if b < 0 {
+			continue
+		}
+		if len(runs) == 0 || runs[len(runs)-1].b != b {
+			runs = append(runs, bucketRun{b: b})
+		}
+		r := &runs[len(runs)-1]
+		r.bins++
+		if occ {
+			r.occ++
+			occupied++
+		}
+	}
+	if !decided || atFloor != 1 {
+		db := dsp.GetFloat(n)
+		defer dsp.PutFloat(db)
+		powerToDBFS(db, power)
+		frac, err = g.Fold(db, centerHz, sampleRate, at)
+		return frac, true, err
+	}
+
+	sl := g.lockSlot(at)
+	defer sl.mu.Unlock()
+	sl.frames++
+	for _, r := range runs {
+		sl.bins[r.b] += r.bins
+		sl.occ[r.b] += r.occ
+	}
+	return float64(occupied) / float64(n), false, nil
 }
 
 // SlotOccupancy is one time slot of one band query.
@@ -180,8 +295,13 @@ type BandOccupancy struct {
 
 // Query returns the occupancy surface for [lowHz, highHz), every
 // non-empty time slot ascending by start. A query outside the grid band
-// is clamped; an empty intersection errors.
+// is clamped; an empty intersection or a non-finite bound errors.
 func (g *Grid) Query(lowHz, highHz float64) (*BandOccupancy, error) {
+	if !finite(lowHz) || !finite(highHz) {
+		// Every clamp below compares false against NaN, and int(NaN)
+		// would index the slot's counts.
+		return nil, fmt.Errorf("stream: band [%g,%g) is not finite", lowHz, highHz)
+	}
 	if lowHz < g.cfg.LowHz {
 		lowHz = g.cfg.LowHz
 	}
@@ -193,6 +313,9 @@ func (g *Grid) Query(lowHz, highHz float64) (*BandOccupancy, error) {
 			lowHz, highHz, g.cfg.LowHz, g.cfg.HighHz)
 	}
 	b0 := int((lowHz - g.cfg.LowHz) / g.cfg.BucketHz)
+	if b0 >= g.buckets {
+		b0 = g.buckets - 1 // the band's last bucket may be wider than BucketHz
+	}
 	b1 := int((highHz-g.cfg.LowHz)/g.cfg.BucketHz + 0.999999)
 	if b1 > g.buckets {
 		b1 = g.buckets
@@ -206,23 +329,34 @@ func (g *Grid) Query(lowHz, highHz float64) (*BandOccupancy, error) {
 		BucketHz: g.cfg.BucketHz,
 		SlotS:    float64(g.slotSec),
 	}
+	w := b1 - b0
+	counts := make([]uint32, 2*w) // one slot's occ then bins, copied out under its lock
 	for i := range g.slots {
-		sl := &g.slots[i]
-		sl.mu.Lock()
-		if sl.startSec == 0 || sl.frames == 0 {
-			sl.mu.Unlock()
+		startSec, frames := g.slots[i].snapshot(counts, b0, b1)
+		if startSec == 0 || frames == 0 {
 			continue
 		}
-		so := SlotOccupancy{Start: time.Unix(sl.startSec, 0).UTC(), Frames: sl.frames,
-			Occupancy: make([]float64, b1-b0)}
-		for b := b0; b < b1; b++ {
-			if sl.bins[b] > 0 {
-				so.Occupancy[b-b0] = float64(sl.occ[b]) / float64(sl.bins[b])
+		so := SlotOccupancy{Start: time.Unix(startSec, 0).UTC(), Frames: frames, Occupancy: make([]float64, w)}
+		for b, total := range counts[w:] {
+			if total > 0 {
+				so.Occupancy[b] = float64(counts[b]) / float64(total)
 			}
 		}
-		sl.mu.Unlock()
 		out.Slots = append(out.Slots, so)
 	}
 	sort.Slice(out.Slots, func(i, j int) bool { return out.Slots[i].Start.Before(out.Slots[j].Start) })
 	return out, nil
+}
+
+// snapshot copies the slot's occ and bins counts of buckets [b0, b1)
+// into dst (occ first) unless the slot is empty, and returns its start
+// and frame count.
+func (sl *gridSlot) snapshot(dst []uint32, b0, b1 int) (startSec int64, frames uint64) {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if sl.frames != 0 {
+		copy(dst, sl.occ[b0:b1])
+		copy(dst[b1-b0:], sl.bins[b0:b1])
+	}
+	return sl.startSec, sl.frames
 }

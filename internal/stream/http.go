@@ -44,6 +44,10 @@ type framesResponse struct {
 	Reason   string `json:"reason,omitempty"`
 }
 
+// The pool decoded IQ is drawn from and returned to; variables so the
+// frames fuzz target can count that every slice taken comes back.
+var getIQ, putIQ = dsp.GetComplex, dsp.PutComplex
+
 // decodeIQ unpacks base64 LE float32 interleaved IQ into a pooled
 // complex slice of exactly want samples. The returned slice belongs to
 // the dsp pool; ingest with ReleaseIQ=true returns it.
@@ -55,7 +59,7 @@ func decodeIQ(b64 string, want int) ([]complex128, error) {
 	if len(raw) != want*8 {
 		return nil, fmt.Errorf("iq_b64: %d bytes, want %d (%d float32 pairs)", len(raw), want*8, want)
 	}
-	iq := dsp.GetComplex(want)
+	iq := getIQ(want)
 	for i := 0; i < want; i++ {
 		re := math.Float32frombits(binary.LittleEndian.Uint32(raw[i*8:]))
 		im := math.Float32frombits(binary.LittleEndian.Uint32(raw[i*8+4:]))
@@ -159,7 +163,7 @@ func (s *Service) handleFrames(w http.ResponseWriter, r *http.Request) {
 			IQ: iq, ReleaseIQ: true,
 		})
 		if err != nil {
-			dsp.PutComplex(iq)
+			putIQ(iq)
 			resp.Shed++
 			lastErr = err
 			continue
@@ -206,7 +210,8 @@ func (s *Service) handleOccupancy(w http.ResponseWriter, r *http.Request) {
 		var err1, err2 error
 		lo, err1 = strconv.ParseFloat(parts[0], 64)
 		hi, err2 = strconv.ParseFloat(parts[1], 64)
-		if err1 != nil || err2 != nil {
+		// ParseFloat accepts "NaN" and "Inf".
+		if err1 != nil || err2 != nil || !finite(lo) || !finite(hi) {
 			http.Error(w, "band must be lo:hi in Hz", http.StatusBadRequest)
 			return
 		}

@@ -24,6 +24,7 @@ type serviceMetrics struct {
 	occQueries     *obs.Counter
 	evictions      *obs.Counter
 	tombstoneFolds *obs.Counter
+	foldDBFallback *obs.Counter
 }
 
 // Shed reasons, the label values of stream_frames_shed_total.
@@ -50,7 +51,7 @@ func newServiceMetrics(reg *obs.Registry, table *SessionTable, queueDepth func()
 		batches: reg.Counter("stream_batches_total",
 			"Batches dispatched through the shared engine."),
 		batchSize: reg.Histogram("stream_batch_size",
-			"Frames per dispatched batch — low fill means the linger window, not the batch cap, is forming batches.",
+			"Frames per dispatched batch: what was queued when the dispatcher came back, up to the batch cap — fill near 1 means it keeps ahead of the offered load, fill at the cap means a backlog.",
 			obs.ExpBuckets(1, 2, 12)),
 		fftSeconds: reg.Histogram("stream_fft_stage_seconds",
 			"Batched FFT stage wall time per batch.", obs.DurationBuckets),
@@ -64,6 +65,8 @@ func newServiceMetrics(reg *obs.Registry, table *SessionTable, queueDepth func()
 			"Sensor sessions evicted after going idle."),
 		tombstoneFolds: reg.Counter("stream_tombstone_folds_total",
 			"In-flight frames whose session aggregation landed on an already-evicted tombstone."),
+		foldDBFallback: reg.Counter("stream_fold_db_fallback_total",
+			"Frames the power-domain fold could not decide with margin and folded through the dBFS path instead."),
 	}
 	reg.GaugeFunc("stream_sessions_active",
 		"Sensor sessions currently registered.",

@@ -19,7 +19,6 @@ func TestConcurrentSessionChurn(t *testing.T) {
 		FFTSize:    64,
 		QueueCap:   1024,
 		MaxBatch:   32,
-		Linger:     -1,
 		Workers:    4,
 		IdleAfter:  5 * time.Millisecond,
 		SweepEvery: time.Millisecond,

@@ -42,12 +42,9 @@ type Config struct {
 	SweepEvery time.Duration
 	// QueueCap bounds the ingest queue. Zero means 8192.
 	QueueCap int
-	// MaxBatch caps frames per engine batch. Zero means 64.
+	// MaxBatch caps frames per engine batch; a batch is whatever is queued
+	// when the dispatcher comes back for more, up to this. Zero means 64.
 	MaxBatch int
-	// Linger is how long the dispatcher waits to fill a batch after the
-	// first frame arrives. Zero means 2 ms; negative means no linger
-	// (dispatch whatever is queued).
-	Linger time.Duration
 	// Workers bounds the FFT stage's parallelism across the pipeline
 	// pool. Zero means GOMAXPROCS.
 	Workers int
@@ -61,7 +58,7 @@ type Config struct {
 	// Tracer receives the batch spans (stream.batch → stream.fft_batch /
 	// stream.fold). Nil means the default tracer.
 	Tracer *obs.Tracer
-	// Clock drives timestamps, linger and sweeps. Nil means wall clock.
+	// Clock drives timestamps and sweeps. Nil means wall clock.
 	Clock clock.Clock
 	// RetryAfter is the hint returned with shed responses. Zero means 1 s.
 	RetryAfter time.Duration
@@ -85,9 +82,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.Linger == 0 {
-		c.Linger = 2 * time.Millisecond
 	}
 	if c.Clock == nil {
 		c.Clock = clock.System{}
@@ -241,9 +235,11 @@ func (s *Service) Ingest(f IngestFrame) error {
 		s.m.framesShed.With(shedMalformed).Inc()
 		return fmt.Errorf("stream: frame length %d, want %d", len(f.IQ), s.cfg.FFTSize)
 	}
-	if f.SampleRate <= 0 {
+	if !finitePositive(f.SampleRate) || !finite(f.CenterHz) {
+		// NaN passes every ordered comparison below, the band checks
+		// included.
 		s.m.framesShed.With(shedMalformed).Inc()
-		return fmt.Errorf("stream: sample rate %v", f.SampleRate)
+		return fmt.Errorf("stream: sample rate %v Hz, centre %v Hz", f.SampleRate, f.CenterHz)
 	}
 	gc := s.grid.Config()
 	if f.CenterHz-f.SampleRate/2 >= gc.HighHz || f.CenterHz+f.SampleRate/2 <= gc.LowHz {
@@ -300,11 +296,13 @@ func (s *Service) Register(sensor string) (*Session, error) {
 	return sess, err
 }
 
-// dispatch is the single batch-forming loop: take one frame, linger
-// briefly to fill the batch, run it. One goroutine forms batches and
-// finishes tasks (so Done ordering and buffer recycling stay serial);
-// the FFT and fold stages inside runBatch fan out across the pipeline
-// pool.
+// dispatch is the single batch-forming loop: block for one frame, take
+// whatever else is already queued, run it. There is no timer: under
+// backlog the queue itself fills the batch to MaxBatch, and on a quiet
+// queue a frame is not held back to wait for company the engine does
+// not need. One goroutine forms batches and finishes tasks (so Done
+// ordering and buffer recycling stay serial); the FFT and fold stages
+// inside runBatch fan out across the pipeline pool.
 func (s *Service) dispatch() {
 	defer s.wg.Done()
 	batch := make([]*frameTask, 0, s.cfg.MaxBatch)
@@ -312,61 +310,33 @@ func (s *Service) dispatch() {
 	for {
 		select {
 		case <-s.done:
-			s.drain(&batch, &jobs)
-			return
-		case t := <-s.queue:
-			batch = append(batch, t)
-		}
-		// Greedy-drain first: when the queue already holds a batch, no
-		// timer is armed at all — the linger (and its per-batch timer
-		// allocation) only exists to wait for stragglers on a quiet
-		// queue.
-	greedy:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case t := <-s.queue:
-				batch = append(batch, t)
-			default:
-				break greedy
-			}
-		}
-		if len(batch) < s.cfg.MaxBatch && s.cfg.Linger > 0 {
-			linger := s.clk.After(s.cfg.Linger)
-		fill:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case t := <-s.queue:
-					batch = append(batch, t)
-				case <-linger:
-					break fill
-				case <-s.done:
-					break fill
+			// Drain what is still queued, so accepted frames keep the
+			// "Done fires exactly once" promise.
+			for {
+				if batch = s.fill(batch[:0]); len(batch) == 0 {
+					return
 				}
+				s.runBatch(batch, jobs)
 			}
+		case t := <-s.queue:
+			batch = s.fill(append(batch, t))
 		}
 		s.runBatch(batch, jobs)
 		batch = batch[:0]
 	}
 }
 
-// drain processes whatever is still queued at shutdown, so accepted
-// frames keep the "Done fires exactly once" promise.
-func (s *Service) drain(batch *[]*frameTask, jobs *[]Job) {
-	for {
-		b := *batch
-		for len(b) < s.cfg.MaxBatch {
-			select {
-			case t := <-s.queue:
-				b = append(b, t)
-			default:
-				s.runBatch(b, *jobs)
-				*batch = b[:0]
-				return
-			}
+// fill tops batch up to MaxBatch from the queue without waiting.
+func (s *Service) fill(batch []*frameTask) []*frameTask {
+	for len(batch) < s.cfg.MaxBatch {
+		select {
+		case t := <-s.queue:
+			batch = append(batch, t)
+		default:
+			return batch
 		}
-		s.runBatch(b, *jobs)
-		*batch = b[:0]
 	}
+	return batch
 }
 
 // runBatch runs one formed batch: breaker gate, parallel batched FFT,
@@ -401,7 +371,7 @@ func (s *Service) runBatch(batch []*frameTask, jobs []Job) {
 	}
 
 	// FFT stage: chunk the batch across the worker pool; each chunk is
-	// one engine.Process call, so twiddles/windows are still amortized
+	// one engine.ProcessPower call, so twiddles/windows are still amortized
 	// per chunk and per-frame output stays bit-identical to serial. A
 	// single-chunk batch runs inline: the pool's per-Run setup (feed
 	// channel, cancel context, worker goroutines) would cost more than it
@@ -417,7 +387,7 @@ func (s *Service) runBatch(batch []*frameTask, jobs []Job) {
 	start := s.clk.Now()
 	var err error
 	if nchunks == 1 {
-		err = s.engine.Process(jobs)
+		err = s.engine.ProcessPower(jobs)
 	} else {
 		err = s.exec.Run(fctx, nchunks, func(_ context.Context, i int) error {
 			lo := i * chunk
@@ -425,7 +395,7 @@ func (s *Service) runBatch(batch []*frameTask, jobs []Job) {
 			if hi > len(jobs) {
 				hi = len(jobs)
 			}
-			return s.engine.Process(jobs[lo:hi])
+			return s.engine.ProcessPower(jobs[lo:hi])
 		})
 	}
 	s.m.fftSeconds.Observe(s.clk.Now().Sub(start).Seconds())
@@ -500,7 +470,10 @@ func (s *Service) foldTask(t *frameTask) error {
 	if s.foldHook != nil {
 		err = s.foldHook()
 	} else {
-		frac, err = s.grid.Fold(t.bins, t.centerHz, t.sampleRate, t.at)
+		var viaDB bool
+		if frac, viaDB, err = s.grid.FoldPower(t.bins, t.centerHz, t.sampleRate, t.at); viaDB {
+			s.m.foldDBFallback.Inc()
+		}
 	}
 	if err != nil {
 		if errors.Is(err, ErrOutOfBand) {
@@ -527,7 +500,7 @@ func (s *Service) finishTask(t *frameTask) {
 		t.done()
 	}
 	if t.releaseIQ && t.iq != nil {
-		dsp.PutComplex(t.iq)
+		putIQ(t.iq)
 	}
 	if t.bins != nil {
 		dsp.PutFloat(t.bins)

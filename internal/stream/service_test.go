@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +23,6 @@ func testConfig() Config {
 		FFTSize:  64,
 		QueueCap: 256,
 		MaxBatch: 16,
-		Linger:   -1, // greedy dispatch, no timer dependence
 		Workers:  2,
 		Registry: obs.NewRegistry(),
 		Grid:     GridConfig{LowHz: 500e6, HighHz: 700e6},
@@ -368,5 +370,193 @@ func TestEvictionAndReregistration(t *testing.T) {
 	}
 	if s.Sessions().Get("ephemeral") == nil {
 		t.Fatal("sensor did not re-register on its next frame")
+	}
+}
+
+// fleetFrame is the frame a bench sensor streams: a 0.4-amplitude tone a
+// quarter band off centre over ±0.01 uniform noise.
+func fleetFrame(n int, seed int64) []complex128 {
+	rng := rand.New(rand.NewSource(seed))
+	bin := n/4 + rng.Intn(n/8)
+	phase := 2 * math.Pi * rng.Float64()
+	out := make([]complex128, n)
+	for k := range out {
+		arg := 2*math.Pi*float64(bin)*float64(k)/float64(n) + phase
+		out[k] = complex(0.4*math.Cos(arg)+0.02*(rng.Float64()-0.5), 0.4*math.Sin(arg)+0.02*(rng.Float64()-0.5))
+	}
+	return out
+}
+
+// TestFleetFramesStayOnPowerPath runs a fleet's worth of ordinary
+// tone-over-noise frames (one per sensor of a 10 000-sensor fleet, at the
+// shipped FFT size and band) through the service: none of them may need
+// the dB fallback, and the surface they leave is the one Engine.Process +
+// Grid.Fold leave.
+func TestFleetFramesStayOnPowerPath(t *testing.T) {
+	const n, sensors, rate = 256, 10_000, 2.4e6
+	s, err := NewService(Config{FFTSize: n, QueueCap: sensors, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want, _ := NewGrid(GridConfig{})
+	eng, _ := NewEngine(n, nil)
+	bins := make([]float64, n)
+
+	at := time.Date(2026, 10, 2, 12, 0, 0, 0, time.UTC)
+	var folded sync.WaitGroup
+	for i := 0; i < sensors; i++ {
+		frame := fleetFrame(n, int64(i))
+		centre := 470e6 + rate/2 + (228e6-rate)*float64(i)/sensors
+		folded.Add(1)
+		if err := s.Ingest(IngestFrame{
+			Sensor: fmt.Sprintf("sensor-%05d", i), At: at, CenterHz: centre, SampleRate: rate, IQ: frame, Done: folded.Done,
+		}); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+		if err := eng.Process([]Job{{IQ: frame, SampleRate: rate, Bins: bins}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := want.Fold(bins, centre, rate, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	folded.Wait()
+	if got := s.m.framesDone.Value(); got != sensors {
+		t.Fatalf("stream_frames_processed_total = %v, want %d", got, sensors)
+	}
+	if got := s.m.foldDBFallback.Value(); got != 0 {
+		t.Fatalf("stream_fold_db_fallback_total = %v over ordinary frames, want 0", got)
+	}
+	sameSurface(t, s.Grid(), want)
+}
+
+// TestNonFiniteFramesRejectedAtTheDoor: NaN passes `<= 0` and every band
+// comparison, so a frame with a non-finite rate or centre used to be
+// transformed, folded as empty and counted as processed.
+func TestNonFiniteFramesRejectedAtTheDoor(t *testing.T) {
+	s, err := NewService(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	frame := randFrame(64, 4)
+	bad := []struct{ centre, rate float64 }{
+		{600e6, math.NaN()}, {600e6, math.Inf(1)}, {600e6, math.Inf(-1)},
+		{math.NaN(), 2.4e6}, {math.Inf(1), 2.4e6}, {math.Inf(-1), 2.4e6},
+	}
+	for _, b := range bad {
+		err := s.Ingest(IngestFrame{Sensor: "a", CenterHz: b.centre, SampleRate: b.rate, IQ: frame})
+		if err == nil || errors.Is(err, ErrOutOfBand) {
+			t.Fatalf("Ingest(centre %v, rate %v) = %v, want a malformed-frame error", b.centre, b.rate, err)
+		}
+		if b.centre == 600e6 {
+			job := []Job{{IQ: frame, SampleRate: b.rate, Bins: make([]float64, 64)}}
+			if s.engine.Process(job) == nil || s.engine.ProcessPower(job) == nil {
+				t.Fatalf("engine accepted sample rate %v", b.rate)
+			}
+		}
+	}
+	if got := s.m.framesShed.With(shedMalformed).Value(); got != float64(len(bad)) {
+		t.Fatalf("shed malformed = %v, want %d", got, len(bad))
+	}
+	if got := s.m.framesIngested.Value(); got != 0 {
+		t.Fatalf("%v non-finite frames were accepted", got)
+	}
+
+	// Over HTTP a non-finite number cannot survive the JSON decode; what
+	// can be spelled is answered 400 either way.
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, num := range []string{"NaN", "1e999", "-1e999"} {
+		body := fmt.Sprintf(`{"frames":[{"sensor":"a","center_hz":600e6,"sample_rate":%s,"iq_b64":%q}]}`, num, EncodeIQ(frame))
+		resp, err := http.Post(srv.URL+"/api/stream/frames", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("sample_rate %s over HTTP: %d, want 400", num, resp.StatusCode)
+		}
+	}
+}
+
+// TestNonFiniteBandDoesNotWedgeTheGrid is the regression for the remote
+// wedge: band=NaN:NaN used to index a slot's counts with int(NaN) and
+// panic holding the slot mutex, which net/http recovered — leaving the
+// mutex locked, the dispatcher stuck in its next fold and every later
+// query hanging.
+func TestNonFiniteBandDoesNotWedgeTheGrid(t *testing.T) {
+	s, err := NewService(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	fold := func() {
+		t.Helper()
+		done := make(chan struct{})
+		if err := s.Ingest(IngestFrame{
+			Sensor: "w", CenterHz: 600e6, SampleRate: 2.4e6, IQ: randFrame(64, 5), Done: func() { close(done) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		wait(t, done, "a frame to fold")
+	}
+	fold() // the slot the bad queries would have died in is live
+
+	for _, band := range []string{"NaN:NaN", "NaN:600e6", "590e6:NaN", "-Inf:Inf", "Inf:Inf"} {
+		resp, err := http.Get(srv.URL + "/api/occupancy?band=" + band)
+		if err != nil {
+			t.Fatalf("band=%s: %v", band, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("band=%s: %d, want 400", band, resp.StatusCode)
+		}
+	}
+	nan := math.NaN()
+	for _, q := range [][2]float64{{nan, nan}, {nan, 600e6}, {590e6, nan}, {math.Inf(-1), math.Inf(1)}} {
+		if _, err := s.Grid().Query(q[0], q[1]); err == nil {
+			t.Fatalf("Query(%v, %v) answered", q[0], q[1])
+		}
+	}
+
+	fold() // the next frame folds
+	client := http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Get(srv.URL + "/api/occupancy?band=590e6:610e6")
+	if err != nil {
+		t.Fatalf("query after the bad bands: %v", err)
+	}
+	var occ BandOccupancy
+	if err := json.NewDecoder(resp.Body).Decode(&occ); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || len(occ.Slots) == 0 || occ.Slots[len(occ.Slots)-1].Frames != 2 {
+		t.Fatalf("query after the bad bands: %d, %+v", resp.StatusCode, occ.Slots)
+	}
+}
+
+// TestQueryInsideAWideLastBucket: the bucket count is rounded, so a band
+// that is not a whole number of buckets ends in a bucket wider than
+// BucketHz, and a query inside its tail used to index one past the
+// counts — under the slot lock.
+func TestQueryInsideAWideLastBucket(t *testing.T) {
+	g, err := NewGrid(GridConfig{LowHz: 470e6, HighHz: 698.4e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Fold(make([]float64, 64), 697e6, 2.4e6, time.Unix(1e9, 0)); err != nil {
+		t.Fatal(err)
+	}
+	occ, err := g.Query(698.3e6, 698.4e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(occ.Slots) != 1 || len(occ.Slots[0].Occupancy) != 1 {
+		t.Fatalf("query of the last bucket's tail: %+v", occ)
 	}
 }
