@@ -15,6 +15,7 @@ import (
 	"sensorcal/internal/resilience"
 	"sensorcal/internal/resilience/chaos"
 	"sensorcal/internal/store"
+	"sensorcal/internal/store/wal"
 	"sensorcal/internal/trust"
 	"sensorcal/internal/world"
 )
@@ -280,9 +281,12 @@ func TestChaosRestartReplaysSpool(t *testing.T) {
 // the second half with every response lost, and then loses power
 // mid-epoch. The consistency model under test: acknowledged trust
 // mutations survive the crash via the segment WAL; pending (un-closed)
-// epoch evidence does not — it re-accumulates from the agent's spool
-// replay, and idempotency keys collapse the retried deliveries to
-// exactly one reading per epoch.
+// epoch evidence does not. Here every second-half response was lost, so
+// nothing in the pending epochs was acked and all of it re-accumulates
+// from the agent's spool replay, with idempotency keys collapsing the
+// retried deliveries to exactly one reading per epoch. Acked pending
+// evidence would not come back: the spool forgets a reading at its 202
+// (ROADMAP item 13).
 func TestChaosSpoolReplayIntoRecoveredWAL(t *testing.T) {
 	base := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
 	root := t.TempDir()
@@ -292,8 +296,8 @@ func TestChaosSpoolReplayIntoRecoveredWAL(t *testing.T) {
 
 	// First life: the collector's trust store sits on a power-cuttable
 	// filesystem.
-	fs := chaos.NewPowerCutFS(store.OS{}, chaosSeed)
-	tl1, err := store.OpenTrustLog(walDir, store.Options{FS: fs})
+	fs := chaos.NewPowerCutFS(wal.OS{}, chaosSeed)
+	tl1, err := store.OpenTrustLog(walDir, wal.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +374,7 @@ func TestChaosSpoolReplayIntoRecoveredWAL(t *testing.T) {
 
 	// Second life: recover the ledger from the segment WAL with a healthy
 	// filesystem, replay the agent spool into the fresh collector.
-	tl2, err := store.OpenTrustLog(walDir, store.Options{})
+	tl2, err := store.OpenTrustLog(walDir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +429,7 @@ func TestChaosSpoolReplayIntoRecoveredWAL(t *testing.T) {
 
 	// Third open: the second life's trust effects must themselves be
 	// durable already.
-	tl3, err := store.OpenTrustLog(walDir, store.Options{})
+	tl3, err := store.OpenTrustLog(walDir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,15 @@
 // calibration report.
 //
 // Submission is store-and-forward: readings land in a durable spool
-// (-spool) first and a background drain loop ships them in batches
-// through a retrier and a circuit breaker, so a collector outage — or an
-// agentd crash — loses nothing. Restarting the daemon replays whatever
-// the spool still holds; idempotency keys keep replays from
-// double-counting at the collector.
+// first and a background drain loop ships them in batches through a
+// retrier and a circuit breaker, so a collector outage — or an agentd
+// crash — loses nothing the spool acknowledged. Restarting the daemon
+// replays whatever the spool still holds; idempotency keys keep replays
+// from double-counting at the collector. -spool names the spool's
+// directory: a segment WAL (internal/store/wal) of readings and a
+// delivered-through watermark. Older agentd releases kept a JSONL file
+// at the same default path; the first start finds it there and imports
+// its undelivered readings into the WAL once, crash-safely.
 //
 // By default it runs against an accelerated simulated clock so a full
 // measurement day finishes in seconds; pass -realtime to pace the windows
@@ -66,7 +70,7 @@ func main() {
 		poll      = flag.Duration("poll", 30*time.Second, "lease poll interval when the queue is empty (scheduled mode)")
 		maxTasks  = flag.Int("tasks", 0, "stop after completing this many scheduled tasks (0: run until signalled)")
 		collector = flag.String("collector", "", "spectrumd base URL (empty: no submission)")
-		spoolPath = flag.String("spool", "agentd.spool.jsonl", "store-and-forward WAL for readings awaiting delivery")
+		spoolPath = flag.String("spool", "agentd.spool.jsonl", "store-and-forward spool directory for readings awaiting delivery (an older agentd's JSONL spool file here is imported once)")
 		drainIv   = flag.Duration("drain", 2*time.Second, "spool drain interval")
 		realtime  = flag.Bool("realtime", false, "pace windows on the wall clock")
 		parallel  = flag.Int("parallel", 0, "measurement units run concurrently (0: GOMAXPROCS, 1: serial; results identical)")

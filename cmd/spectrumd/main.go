@@ -79,6 +79,7 @@ import (
 	"sensorcal/internal/obs"
 	"sensorcal/internal/replica"
 	"sensorcal/internal/store"
+	"sensorcal/internal/store/wal"
 	"sensorcal/internal/stream"
 	"sensorcal/internal/trust"
 )
@@ -205,8 +206,9 @@ func (d *daemon) shutdown(srv *http.Server) {
 		// A follower's pending epochs live only in memory and only the
 		// coordinator may close them: hand them over — including the
 		// still-maturing window — so a graceful restart loses no acked
-		// evidence. If the coordinator is down too, the agents' spools
-		// re-submit; log exactly what is at stake.
+		// evidence. If the coordinator is down too, that evidence is lost:
+		// agents re-submit only readings they never got a 202 for
+		// (ROADMAP item 13). Log exactly what is at stake.
 		if err := d.replica.FlushPending(d.clk.Now().Add(d.epoch)); err != nil {
 			d.log.Warnf("shutdown handoff failed, trailing-window evidence lost with this process: %v", err)
 		}
@@ -256,7 +258,7 @@ func (d *daemon) handler() http.Handler {
 // the newest snapshot plus the segment tail and wire the collector's
 // mutations through the store.
 func (d *daemon) openTrustLog(dir string) error {
-	tlog, err := store.OpenTrustLog(dir, store.Options{Metrics: store.NewMetrics(obs.Default())})
+	tlog, err := store.OpenTrustLog(dir, wal.Options{Metrics: wal.NewMetrics(obs.Default())})
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"sensorcal/internal/obs"
 	"sensorcal/internal/resilience/chaos"
 	"sensorcal/internal/store"
+	"sensorcal/internal/store/wal"
 	"sensorcal/internal/trust"
 )
 
@@ -22,7 +23,7 @@ import (
 func TestCatchupPowerCut(t *testing.T) {
 	// A live peer with real durable state: enrollments, a close pass
 	// worth of scores, history.
-	peerLog, err := store.OpenTrustLog(t.TempDir(), store.Options{})
+	peerLog, err := store.OpenTrustLog(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +73,8 @@ func TestCatchupPowerCut(t *testing.T) {
 	peerLedger := peerCol.Ledger
 
 	joinDir := t.TempDir()
-	newJoiner := func(fs store.FS) (*Node, *store.TrustLog) {
-		log, err := store.OpenTrustLog(joinDir, store.Options{FS: fs})
+	newJoiner := func(fs wal.FS) (*Node, *store.TrustLog) {
+		log, err := store.OpenTrustLog(joinDir, wal.Options{FS: fs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestCatchupPowerCut(t *testing.T) {
 	// batch. After each cut, reboot (reopen with the real filesystem) and
 	// check the recovered prefix is valid.
 	for cycle, budget := range []int64{1, 200, 900, 2500} {
-		fs := chaos.NewPowerCutFS(store.OS{}, int64(cycle)*7919+1)
+		fs := chaos.NewPowerCutFS(wal.OS{}, int64(cycle)*7919+1)
 		joiner, log := newJoiner(fs)
 		fs.ArmCrash(budget)
 		reached, cerr := joiner.CatchUp()
@@ -112,7 +113,7 @@ func TestCatchupPowerCut(t *testing.T) {
 			t.Fatalf("cycle %d: catch-up survived a %d-byte power budget", cycle, budget)
 		}
 		// Reboot: what the disk really holds.
-		rebootLog, err := store.OpenTrustLog(joinDir, store.Options{})
+		rebootLog, err := store.OpenTrustLog(joinDir, wal.Options{})
 		if err != nil {
 			t.Fatalf("cycle %d: reopening after power cut: %v", cycle, err)
 		}
@@ -139,7 +140,7 @@ func TestCatchupPowerCut(t *testing.T) {
 
 	// Final cycle: healthy power. The retry must converge byte-exactly
 	// (replaying the partial prefix already on disk is idempotent).
-	joiner, log := newJoiner(store.OS{})
+	joiner, log := newJoiner(wal.OS{})
 	defer log.Close()
 	reached, err := joiner.CatchUp()
 	if !reached || err != nil {
@@ -155,7 +156,7 @@ func TestCatchupPowerCut(t *testing.T) {
 	}
 	// And the durable copy survives its own reboot.
 	log.Close()
-	rebootLog, err := store.OpenTrustLog(joinDir, store.Options{})
+	rebootLog, err := store.OpenTrustLog(joinDir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 
 	"sensorcal/internal/obs"
 	"sensorcal/internal/store"
+	"sensorcal/internal/store/wal"
 	"sensorcal/internal/trust"
 )
 
@@ -78,7 +79,7 @@ func newTestRing(t *testing.T, n int) []*testReplica {
 
 func newTestNode(t *testing.T, self string, members []Member) *Node {
 	t.Helper()
-	log, err := store.OpenTrustLog(t.TempDir(), store.Options{})
+	log, err := store.OpenTrustLog(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

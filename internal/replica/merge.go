@@ -43,7 +43,9 @@ import (
 //     the coordinator (FlushPending → /replica/handoff), which restages
 //     them and closes them in its next pass. Only when the coordinator
 //     is also unreachable at that moment does the follower's trailing
-//     window die with its process (the agents' spools still re-submit).
+//     window die with its process. Agents' spools re-submit only what
+//     was never acknowledged, so acked readings in it are lost (ROADMAP
+//     item 13).
 
 // MergeClose runs one coordinator close pass over the whole ring:
 // drain self and every peer, merge, close, broadcast the install. Only

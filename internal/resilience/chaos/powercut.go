@@ -7,7 +7,7 @@ import (
 	"math/rand"
 	"sync"
 
-	"sensorcal/internal/store"
+	"sensorcal/internal/store/wal"
 )
 
 // ErrPowerCut is returned by every operation on a PowerCutFS after the
@@ -23,9 +23,9 @@ var errShortWrite = errors.New("chaos: short write")
 // durability; the dirty pages are still dirty.
 var errFsync = errors.New("chaos: fsync error")
 
-// PowerCutFS wraps a real store.FS with the failure model of a machine
+// PowerCutFS wraps a real wal.FS with the failure model of a machine
 // whose power can be cut at any byte. It is the proof harness for the
-// WAL's durability discipline (internal/store/fs.go):
+// WAL's durability discipline (internal/store/wal/fs.go):
 //
 //   - written bytes are buffered in memory (the "page cache") and reach
 //     the real filesystem only on Sync — which is also when the WAL
@@ -57,7 +57,7 @@ var errFsync = errors.New("chaos: fsync error")
 // same seed replays the same tear schedule.
 type PowerCutFS struct {
 	// Inner is the real filesystem holding the synced state.
-	Inner store.FS
+	Inner wal.FS
 	// ShortWriteRate is the probability a Write persists only a random
 	// prefix to the buffer and returns an error.
 	ShortWriteRate float64
@@ -93,9 +93,9 @@ type pendingRename struct {
 
 // NewPowerCutFS wraps inner with a seeded power-cut model. The crash
 // budget starts disarmed; call ArmCrash.
-func NewPowerCutFS(inner store.FS, seed int64) *PowerCutFS {
+func NewPowerCutFS(inner wal.FS, seed int64) *PowerCutFS {
 	if inner == nil {
-		inner = store.OS{}
+		inner = wal.OS{}
 	}
 	return &PowerCutFS{
 		Inner:          inner,
@@ -207,7 +207,7 @@ func (p *PowerCutFS) chargeLocked(n int) (allowed int, cut bool) {
 type powerFile struct {
 	p    *PowerCutFS
 	name string
-	real store.File
+	real wal.File
 	buf  []byte // written but not fsynced
 	dead bool   // the crash closed it
 }
@@ -278,7 +278,7 @@ func (f *powerFile) Close() error {
 	return f.real.Close()
 }
 
-// --- store.FS ---
+// --- wal.FS ---
 
 func (p *PowerCutFS) OpenRead(name string) (io.ReadCloser, error) {
 	p.mu.Lock()
@@ -290,7 +290,7 @@ func (p *PowerCutFS) OpenRead(name string) (io.ReadCloser, error) {
 	return p.Inner.OpenRead(name)
 }
 
-func (p *PowerCutFS) Create(name string) (store.File, error) {
+func (p *PowerCutFS) Create(name string) (wal.File, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.crashed {
@@ -311,7 +311,7 @@ func (p *PowerCutFS) Create(name string) (store.File, error) {
 	return f, nil
 }
 
-func (p *PowerCutFS) OpenAppend(name string) (store.File, error) {
+func (p *PowerCutFS) OpenAppend(name string) (wal.File, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.crashed {
@@ -441,7 +441,7 @@ func (p *PowerCutFS) Size(name string) (int64, error) {
 
 // readAll slurps a file through the wrapped FS (for remove/rename
 // rollback snapshots).
-func readAll(fs store.FS, name string) ([]byte, error) {
+func readAll(fs wal.FS, name string) ([]byte, error) {
 	rc, err := fs.OpenRead(name)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: snapshotting %s for rollback: %w", name, err)

@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"sensorcal/internal/store"
+	"sensorcal/internal/store/wal"
 )
 
 func readFile(t *testing.T, path string) []byte {
@@ -22,7 +22,7 @@ func readFile(t *testing.T, path string) []byte {
 // unsynced bytes survive only as a (possibly empty) prefix.
 func TestPowerCutUnsyncedWritesTear(t *testing.T) {
 	dir := t.TempDir()
-	fs := NewPowerCutFS(store.OS{}, 42)
+	fs := NewPowerCutFS(wal.OS{}, 42)
 	path := filepath.Join(dir, "seg")
 	f, err := fs.Create(path)
 	if err != nil {
@@ -65,7 +65,7 @@ func TestPowerCutUnsyncedWritesTear(t *testing.T) {
 // crash.
 func TestPowerCutUnsyncedDirectoryEntriesVanish(t *testing.T) {
 	dir := t.TempDir()
-	fs := NewPowerCutFS(store.OS{}, 7)
+	fs := NewPowerCutFS(wal.OS{}, 7)
 
 	// Created, synced content, but the directory entry never fsynced.
 	ghost := filepath.Join(dir, "ghost")
@@ -114,7 +114,7 @@ func TestPowerCutUnsyncedDirectoryEntriesVanish(t *testing.T) {
 // directory operations survive.
 func TestPowerCutSyncDirMakesEntriesDurable(t *testing.T) {
 	dir := t.TempDir()
-	fs := NewPowerCutFS(store.OS{}, 7)
+	fs := NewPowerCutFS(wal.OS{}, 7)
 	path := filepath.Join(dir, "kept")
 	f, err := fs.Create(path)
 	if err != nil {
@@ -138,7 +138,7 @@ func TestPowerCutSyncDirMakesEntriesDurable(t *testing.T) {
 // ErrPowerCut.
 func TestPowerCutBudgetFiresMidWrite(t *testing.T) {
 	dir := t.TempDir()
-	fs := NewPowerCutFS(store.OS{}, 3)
+	fs := NewPowerCutFS(wal.OS{}, 3)
 	path := filepath.Join(dir, "seg")
 	f, err := fs.Create(path)
 	if err != nil {
@@ -173,7 +173,7 @@ func TestPowerCutBudgetFiresMidWrite(t *testing.T) {
 // flush.
 func TestPowerCutShortWriteAndFsyncError(t *testing.T) {
 	dir := t.TempDir()
-	fs := NewPowerCutFS(store.OS{}, 9)
+	fs := NewPowerCutFS(wal.OS{}, 9)
 	fs.ShortWriteRate = 1.0
 	path := filepath.Join(dir, "seg")
 	f, err := fs.Create(path)
@@ -200,4 +200,3 @@ func TestPowerCutShortWriteAndFsyncError(t *testing.T) {
 		t.Fatal("transient faults must not crash the machine")
 	}
 }
-

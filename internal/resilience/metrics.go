@@ -135,7 +135,7 @@ type spoolMetrics struct {
 //	resilience_spool_appends_total{name}  — records durably appended
 //	resilience_spool_acks_total{name}     — records acknowledged (drained)
 //	resilience_spool_replayed_total{name} — records recovered from the WAL at open
-//	resilience_spool_dropped_total{name}  — corrupt/truncated WAL lines discarded at open
+//	resilience_spool_dropped_total{name}  — torn bytes truncated from the WAL's tail at open
 func (s *Spool) Instrument(reg *obs.Registry) *Spool {
 	if reg == nil {
 		reg = obs.Default()
@@ -152,46 +152,23 @@ func (s *Spool) Instrument(reg *obs.Registry) *Spool {
 		replayed: reg.CounterVec("resilience_spool_replayed_total",
 			"Unacked records recovered from the WAL at open.", "name"),
 		dropped: reg.CounterVec("resilience_spool_dropped_total",
-			"Corrupt or truncated WAL lines discarded during recovery.", "name"),
+			"Torn bytes truncated from the spool WAL's tail during recovery.", "name"),
 	}
 	s.mu.Lock()
 	s.m = m
-	m.setDepth(s.name, len(s.pending))
+	m.record(s.name, 0, 0, len(s.pending))
+	m.replayed.With(s.name).Add(float64(s.replayed))
+	m.dropped.With(s.name).Add(float64(s.torn))
 	s.mu.Unlock()
 	return s
 }
 
-func (m *spoolMetrics) setDepth(name string, n int) {
+// record counts appended and acked records and sets the depth.
+func (m *spoolMetrics) record(name string, appended, acked, depth int) {
 	if m == nil {
 		return
 	}
-	m.depth.With(name).Set(float64(n))
-}
-
-func (m *spoolMetrics) addAppends(name string, n int) {
-	if m == nil {
-		return
-	}
-	m.appends.With(name).Add(float64(n))
-}
-
-func (m *spoolMetrics) addAcks(name string, n int) {
-	if m == nil {
-		return
-	}
-	m.acks.With(name).Add(float64(n))
-}
-
-func (m *spoolMetrics) addReplayed(name string, n int) {
-	if m == nil {
-		return
-	}
-	m.replayed.With(name).Add(float64(n))
-}
-
-func (m *spoolMetrics) addDropped(name string, n int) {
-	if m == nil {
-		return
-	}
-	m.dropped.With(name).Add(float64(n))
+	m.appends.With(name).Add(float64(appended))
+	m.acks.With(name).Add(float64(acked))
+	m.depth.With(name).Set(float64(depth))
 }

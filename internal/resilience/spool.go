@@ -1,29 +1,36 @@
 package resilience
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"os"
+	"math"
 	"path/filepath"
 	"sync"
+
+	"sensorcal/internal/store/wal"
 )
 
-// Store-and-forward spool: a durable JSONL write-ahead log that sits
-// between a producer (the agent's measurement loop) and an unreliable
-// consumer (the HTTP path to the collector). Records are appended with an
-// idempotency key and fsynced before Append returns; a drainer reads
-// batches with Peek and removes them with Ack once the remote end has
-// acknowledged them. Both operations are WAL entries, so a crash at any
-// byte offset loses at most the entry being written: recovery discards a
-// truncated tail line and replays everything before it.
+// Store-and-forward spool: a durable FIFO between a producer (the
+// agent's measurement loop) and an unreliable consumer (the HTTP path to
+// the collector), built on the segment WAL the collector's trust log
+// uses (internal/store/wal), so one power-cut model proves both. Append
+// is durable when it returns; a drainer reads batches with Peek and
+// removes them with Ack once the remote end has them.
 //
-// WAL grammar (one JSON object per line):
+// The WAL holds two kinds of JSON frame:
 //
-//	{"op":"put","key":"...","payload":{...}}
-//	{"op":"ack","keys":["...","..."]}
+//	{"seq":7,"key":"...","payload":{...}}   — a put
+//	{"acked":7}                             — every put with seq ≤ 7 is delivered
+//
+// Acks are a FIFO prefix (the drainer acks what Peek returned), so a
+// watermark is all an ack needs to say, and recovery is "the puts above
+// the highest watermark, in log order". Sealed segments below both the
+// oldest pending put and the newest watermark frame are pruned. Keeping
+// the watermark's segment means a prune that a power cut half undoes, in
+// any order, can only bring back puts that watermark covers.
 
 // Record is one spooled payload.
 type Record struct {
@@ -31,168 +38,124 @@ type Record struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// walEntry is the on-disk line format.
-type walEntry struct {
-	Op      string          `json:"op"`
+// spoolFrame is one WAL record: a put when Key is set, an ack watermark
+// when Acked is.
+type spoolFrame struct {
+	Seq     uint64          `json:"seq,omitempty"`
 	Key     string          `json:"key,omitempty"`
 	Payload json.RawMessage `json:"payload,omitempty"`
-	Keys    []string        `json:"keys,omitempty"`
+	Acked   uint64          `json:"acked,omitempty"`
 }
 
-// compactAfterAcks is how many acked WAL lines accumulate before Ack
-// rewrites the log down to its live records.
-const compactAfterAcks = 512
+// pendingRecord is an unacked put and where the log holds it.
+type pendingRecord struct {
+	Record
+	seq uint64 // increasing in log order
+	seg uint64 // WAL segment of the put (a lower bound after replay)
+}
+
+var errSpoolClosed = errors.New("resilience: spool is closed")
 
 // Spool is a durable FIFO of keyed records. It is safe for concurrent
 // use: producers Append while a drainer goroutine Peeks and Acks.
 type Spool struct {
 	mu      sync.Mutex
-	f       *os.File
-	path    string
+	w       *wal.WAL // nil once closed
 	name    string
-	pending []Record            // FIFO of unacked records
+	pending []pendingRecord     // unacked puts, oldest first
 	index   map[string]struct{} // pending keys
-	acked   int                 // ack entries written since last compact
-
-	m *spoolMetrics
+	next    uint64              // seq of the next put
+	oldest  uint64              // lowest segment not yet pruned
+	m       *spoolMetrics
+	// What open recovered, reported by Instrument.
+	replayed, torn int64
 }
 
-// OpenSpool opens (or creates) the WAL at path and replays it. Truncated
-// or corrupt trailing lines are discarded — the file is truncated back to
-// the last fully parseable entry, exactly the state before the interrupted
-// write.
-func OpenSpool(path string) (*Spool, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("resilience: spool dir: %w", err)
+// OpenSpool opens (or creates) the spool in directory path and recovers
+// its pending records. A JSONL spool file that an older agent left at
+// path is imported first, once.
+func OpenSpool(path string) (*Spool, error) { return openSpool(path, wal.Options{}) }
+
+// openSpool is OpenSpool on a given filesystem and segment size, the
+// seam the power-cut tests use.
+func openSpool(path string, opts wal.Options) (*Spool, error) {
+	if opts.FS == nil {
+		opts.FS = wal.OS{}
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err := importLegacy(opts.FS, path); err != nil {
+		return nil, fmt.Errorf("resilience: importing spool file %s: %w", path, err)
+	}
+	w, err := wal.OpenWAL(path, opts)
 	if err != nil {
 		return nil, fmt.Errorf("resilience: opening spool: %w", err)
 	}
-	s := &Spool{
-		f:     f,
-		path:  path,
-		name:  filepath.Base(path),
-		index: make(map[string]struct{}),
+	s := &Spool{w: w, name: filepath.Base(path), index: make(map[string]struct{}),
+		oldest: w.ActiveSeq(), torn: w.Recovery().TornBytes}
+	if sealed := w.SealedSegments(); len(sealed) > 0 {
+		s.oldest = sealed[0]
 	}
-	if err := s.replay(); err != nil {
-		f.Close()
-		return nil, err
+	var watermark uint64
+	_, err = w.Replay(func(p []byte) error {
+		var f spoolFrame
+		if err := json.Unmarshal(p, &f); err != nil {
+			return fmt.Errorf("resilience: decoding spool frame: %w", err)
+		}
+		s.next = max(s.next, f.Seq, f.Acked)
+		if f.Key != "" && f.Seq > watermark {
+			// Replayed puts count as in the oldest segment: safe, and it
+			// only delays pruning until they drain.
+			s.putLocked(pendingRecord{Record{f.Key, f.Payload}, f.Seq, s.oldest})
+		}
+		if f.Acked > watermark {
+			watermark = f.Acked
+			n := 0
+			for n < len(s.pending) && s.pending[n].seq <= watermark {
+				n++
+			}
+			s.dropLocked(n)
+		}
+		return nil
+	})
+	if err != nil {
+		w.Close()
+		return nil, fmt.Errorf("resilience: replaying spool: %w", err)
 	}
+	s.next, s.replayed = s.next+1, int64(len(s.pending))
 	return s, nil
 }
 
-// replay scans the WAL, rebuilds the pending set, and truncates any
-// unparseable tail. Byte offsets are derived from the bytes actually
-// read (not len(line)+1), so a final line that parses but lost its
-// trailing newline — a torn write cut exactly at the delimiter — cannot
-// push the append offset past EOF; that line is kept and its missing
-// newline is written back before any new entry is appended.
-func (s *Spool) replay() error {
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("resilience: spool seek: %w", err)
+// putLocked adds a record unless its key is already pending.
+func (s *Spool) putLocked(r pendingRecord) {
+	if _, ok := s.index[r.Key]; !ok {
+		s.index[r.Key] = struct{}{}
+		s.pending = append(s.pending, r)
 	}
-	var (
-		good      int64 // byte offset after the last good line
-		dropped   int
-		missingNL bool // last good line reached EOF without a '\n'
-	)
-	rd := bufio.NewReaderSize(s.f, 64*1024)
-	for {
-		line, rerr := rd.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			return fmt.Errorf("resilience: spool scan: %w", rerr)
-		}
-		if len(line) > 0 {
-			trimmed := bytes.TrimRight(line, "\r\n")
-			var e walEntry
-			if len(trimmed) == 0 || json.Unmarshal(trimmed, &e) != nil {
-				// A torn write: everything from here on is the interrupted
-				// tail. (A corrupt middle line would also land here; spools
-				// are single-writer append-only, so mid-file corruption means
-				// the tail after it is unordered noise anyway.)
-				dropped++
-				break
-			}
-			good += int64(len(line))
-			missingNL = rerr == io.EOF
-			switch e.Op {
-			case "put":
-				s.putLocked(Record{Key: e.Key, Payload: e.Payload})
-			case "ack":
-				for _, k := range e.Keys {
-					s.removeLocked(k)
-				}
-				s.acked++
-			default:
-				// Unknown ops are skipped but their bytes are kept: a newer
-				// version's entries must survive a rollback.
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
+}
+
+// dropLocked removes the n oldest pending records.
+func (s *Spool) dropLocked(n int) {
+	for _, r := range s.pending[:n] {
+		delete(s.index, r.Key)
 	}
-	st, err := s.f.Stat()
+	clear(s.pending[:n]) // release the payloads before append reallocates
+	s.pending = s.pending[n:]
+}
+
+// appendLocked writes one frame; nil means it is durable.
+func (s *Spool) appendLocked(f spoolFrame) error {
+	b, err := json.Marshal(f)
+	if err == nil {
+		err = s.w.Append(b)
+	}
 	if err != nil {
-		return fmt.Errorf("resilience: spool stat: %w", err)
+		return fmt.Errorf("resilience: appending to spool: %w", err)
 	}
-	if good < st.Size() {
-		// The file does not end on a good line boundary (torn final
-		// write). Truncate back to clean state.
-		if err := s.f.Truncate(good); err != nil {
-			return fmt.Errorf("resilience: truncating torn spool tail: %w", err)
-		}
-		if dropped == 0 {
-			dropped = 1
-		}
-	}
-	if _, err := s.f.Seek(good, io.SeekStart); err != nil {
-		return fmt.Errorf("resilience: spool seek: %w", err)
-	}
-	if missingNL {
-		// The final line is complete JSON but its newline never hit disk;
-		// restore the delimiter so the next Append starts a fresh line.
-		if _, err := s.f.Write([]byte{'\n'}); err != nil {
-			return fmt.Errorf("resilience: repairing spool delimiter: %w", err)
-		}
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("resilience: syncing spool: %w", err)
-		}
-	}
-	s.m.addReplayed(s.name, len(s.pending))
-	s.m.addDropped(s.name, dropped)
 	return nil
 }
 
-// putLocked adds a record to the pending set unless its key is already
-// there (duplicate appends are idempotent).
-func (s *Spool) putLocked(r Record) {
-	if _, ok := s.index[r.Key]; ok {
-		return
-	}
-	s.index[r.Key] = struct{}{}
-	s.pending = append(s.pending, r)
-}
-
-// removeLocked drops a key from the pending set, preserving FIFO order.
-func (s *Spool) removeLocked(key string) {
-	if _, ok := s.index[key]; !ok {
-		return
-	}
-	delete(s.index, key)
-	for i, r := range s.pending {
-		if r.Key == key {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			break
-		}
-	}
-}
-
-// Append durably stores payload under key. The entry is fsynced before
-// Append returns: once the producer sees nil, a crash cannot lose the
-// record. Appending an already-pending key is a no-op (nil error), which
-// makes producer retries harmless.
+// Append durably stores payload under key: once the producer sees nil, a
+// crash cannot lose the record. Appending an already-pending key is a
+// no-op (nil error), which makes producer retries harmless.
 func (s *Spool) Append(key string, payload interface{}) error {
 	if key == "" {
 		return fmt.Errorf("resilience: spool record needs a key")
@@ -203,18 +166,19 @@ func (s *Spool) Append(key string, payload interface{}) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("resilience: spool is closed")
+	if s.w == nil {
+		return errSpoolClosed
 	}
 	if _, ok := s.index[key]; ok {
 		return nil
 	}
-	if err := s.writeLocked(walEntry{Op: "put", Key: key, Payload: raw}); err != nil {
+	r := pendingRecord{Record{key, raw}, s.next, s.w.ActiveSeq()}
+	if err := s.appendLocked(spoolFrame{Seq: r.seq, Key: key, Payload: raw}); err != nil {
 		return err
 	}
-	s.putLocked(Record{Key: key, Payload: raw})
-	s.m.addAppends(s.name, 1)
-	s.m.setDepth(s.name, len(s.pending))
+	s.next++
+	s.putLocked(r)
+	s.m.record(s.name, 1, 0, len(s.pending))
 	return nil
 }
 
@@ -229,133 +193,50 @@ func (s *Spool) Peek(max int) []Record {
 		n = max
 	}
 	out := make([]Record, n)
-	copy(out, s.pending[:n])
+	for i := range out {
+		out[i] = s.pending[i].Record
+	}
 	return out
 }
 
 // Ack durably marks keys as delivered; they will not replay after a
-// restart. Unknown keys are ignored (acking an already-acked batch is
-// idempotent).
+// restart. The still-pending keys among them must be the oldest pending
+// records in arrival order — what Peek returned. Keys no longer pending
+// are skipped, so re-acking a delivered batch is a no-op.
 func (s *Spool) Ack(keys ...string) error {
-	if len(keys) == 0 {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("resilience: spool is closed")
+	if s.w == nil {
+		return errSpoolClosed
 	}
-	live := keys[:0:0]
+	n := 0
 	for _, k := range keys {
-		if _, ok := s.index[k]; ok {
-			live = append(live, k)
+		if _, ok := s.index[k]; !ok {
+			continue
 		}
+		if n == len(s.pending) || s.pending[n].Key != k {
+			return fmt.Errorf("resilience: spool ack of %q is not the oldest pending record", k)
+		}
+		n++
 	}
-	if len(live) == 0 {
+	if n == 0 {
 		return nil
 	}
-	if err := s.writeLocked(walEntry{Op: "ack", Keys: live}); err != nil {
+	ackSeg := s.w.ActiveSeq()
+	if err := s.appendLocked(spoolFrame{Acked: s.pending[n-1].seq}); err != nil {
 		return err
 	}
-	for _, k := range live {
-		s.removeLocked(k)
+	s.dropLocked(n)
+	s.m.record(s.name, 0, n, len(s.pending))
+	// Best-effort: a failed prune leaves a longer log that replays to the
+	// same records, and the next Ack retries.
+	through := ackSeg - 1
+	if len(s.pending) > 0 {
+		through = min(through, s.pending[0].seg-1)
 	}
-	s.acked++
-	s.m.addAcks(s.name, len(live))
-	s.m.setDepth(s.name, len(s.pending))
-	if s.acked >= compactAfterAcks {
-		// Best-effort: a failed compaction leaves the (valid, longer) WAL
-		// in place and the next Ack tries again.
-		if err := s.compactLocked(); err == nil {
-			s.acked = 0
-		}
+	if through >= s.oldest && s.w.PruneThrough(through) == nil {
+		s.oldest = through + 1
 	}
-	return nil
-}
-
-// writeLocked appends one WAL line and fsyncs.
-func (s *Spool) writeLocked(e walEntry) error {
-	line, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("resilience: marshaling WAL entry: %w", err)
-	}
-	line = append(line, '\n')
-	if _, err := s.f.Write(line); err != nil {
-		return fmt.Errorf("resilience: appending to spool: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("resilience: syncing spool: %w", err)
-	}
-	return nil
-}
-
-// Compact rewrites the WAL down to its live records, reclaiming the space
-// of acked entries.
-func (s *Spool) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("resilience: spool is closed")
-	}
-	if err := s.compactLocked(); err != nil {
-		return err
-	}
-	s.acked = 0
-	return nil
-}
-
-// compactLocked writes pending records to a temp file and renames it over
-// the WAL (the same atomic-save shape spectrumd uses for the ledger).
-func (s *Spool) compactLocked() error {
-	tmp := s.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("resilience: compacting spool: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for _, r := range s.pending {
-		line, err := json.Marshal(walEntry{Op: "put", Key: r.Key, Payload: r.Payload})
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("resilience: compacting spool: %w", err)
-		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("resilience: compacting spool: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("resilience: compacting spool: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("resilience: compacting spool: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("resilience: compacting spool: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("resilience: compacting spool: %w", err)
-	}
-	old := s.f
-	nf, err := os.OpenFile(s.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		// The rename succeeded but we lost our handle; the spool is
-		// unusable until reopened.
-		s.f = nil
-		old.Close()
-		return fmt.Errorf("resilience: reopening compacted spool: %w", err)
-	}
-	s.f = nf
-	old.Close()
 	return nil
 }
 
@@ -366,18 +247,110 @@ func (s *Spool) Len() int {
 	return len(s.pending)
 }
 
-// Path returns the WAL location.
-func (s *Spool) Path() string { return s.path }
-
-// Close releases the WAL file handle. Pending records stay on disk and
-// replay at the next OpenSpool.
+// Close releases the WAL. Pending records stay on disk and replay at the
+// next OpenSpool.
 func (s *Spool) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.w == nil {
 		return nil
 	}
-	err := s.f.Close()
-	s.f = nil
+	err := s.w.Close()
+	s.w = nil
 	return err
+}
+
+// importLegacy turns a JSONL spool file at path, the format agents wrote
+// before the spool moved onto the WAL, into a spool directory at the same
+// path. The new spool is built and fsynced beside the file (path +
+// ".import"; re-appending into a half-built one is a no-op per key),
+// removing the file commits, and a rename moves the spool into place,
+// each directory change fsynced. A power cut before the commit leaves
+// the file to import again; one after leaves the finished spool, which
+// the next open moves in.
+func importLegacy(fs wal.FS, path string) error {
+	tmp, dir := path+".import", filepath.Dir(path)
+	if _, err := fs.ReadDir(path); err == nil {
+		return nil // already a spool directory
+	}
+	if _, err := fs.Size(path); err == nil {
+		rc, err := fs.OpenRead(path)
+		if err != nil {
+			return err
+		}
+		raw, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			return err
+		}
+		// One segment that never rolls, synced once: nothing in it counts
+		// until the file is gone.
+		t, err := openSpool(tmp, wal.Options{FS: fs, SegmentBytes: math.MaxInt64, NoSyncOnAppend: true})
+		if err != nil {
+			return err
+		}
+		for _, r := range readLegacy(raw) {
+			if err == nil {
+				err = t.Append(r.Key, r.Payload)
+			}
+		}
+		if err == nil {
+			err = t.w.Sync()
+		}
+		if cerr := t.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = fs.Remove(path)
+		}
+		if err == nil {
+			err = fs.SyncDir(dir)
+		}
+		if err != nil {
+			return err
+		}
+	} else if _, err := fs.ReadDir(tmp); err != nil {
+		return nil // nothing at path: a fresh spool
+	}
+	if err := fs.Rename(tmp, path); err != nil {
+		return err
+	}
+	return fs.SyncDir(dir)
+}
+
+// readLegacy returns the pending records of a JSONL spool — lines of
+// {"op":"put","key":..,"payload":..} and {"op":"ack","keys":[..]} — in
+// arrival order. It stops at the first line that does not decode, the
+// torn tail of an interrupted write; a last line that decodes but lost
+// its newline is whole.
+func readLegacy(raw []byte) []Record {
+	var recs []Record
+	live := make(map[string]int) // pending key → index in recs
+	for _, line := range bytes.Split(raw, []byte{'\n'}) {
+		var e struct {
+			Op, Key string
+			Payload json.RawMessage
+			Keys    []string
+		}
+		if json.Unmarshal(line, &e) != nil {
+			break
+		}
+		if _, ok := live[e.Key]; e.Op == "put" && !ok {
+			live[e.Key] = len(recs)
+			recs = append(recs, Record{e.Key, e.Payload})
+		}
+		for _, k := range e.Keys {
+			if i, ok := live[k]; ok && e.Op == "ack" {
+				recs[i].Key = "" // acked; old agents never wrote an empty key
+				delete(live, k)
+			}
+		}
+	}
+	out := recs[:0]
+	for _, r := range recs {
+		if r.Key != "" {
+			out = append(out, r)
+		}
+	}
+	return out
 }

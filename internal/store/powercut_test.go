@@ -12,6 +12,7 @@ import (
 
 	"sensorcal/internal/resilience/chaos"
 	"sensorcal/internal/store"
+	"sensorcal/internal/store/wal"
 	"sensorcal/internal/trust"
 )
 
@@ -80,12 +81,12 @@ func TestPowerCutCrashMatrix(t *testing.T) {
 	}
 
 	nextNode := 0
-	opts := store.Options{SegmentBytes: 512}
+	opts := wal.Options{SegmentBytes: 512}
 
 	for cycle := 0; cycle < iters; cycle++ {
 		// Recovery itself runs fault-free: the machine that reboots after
 		// the power cut has working hardware.
-		fs := chaos.NewPowerCutFS(store.OS{}, seed+int64(cycle)*7919)
+		fs := chaos.NewPowerCutFS(wal.OS{}, seed+int64(cycle)*7919)
 		cycleOpts := opts
 		cycleOpts.FS = fs
 		tl, err := store.OpenTrustLog(dir, cycleOpts)

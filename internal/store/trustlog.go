@@ -1,15 +1,35 @@
+// Package store is the collector's durable trust log: trust mutations
+// as records in the segment WAL (internal/store/wal), folded into JSON
+// ledger snapshots, and streamed to joining replicas as catch-up.
 package store
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 
+	"sensorcal/internal/store/wal"
 	"sensorcal/internal/trust"
 )
+
+// The segment log itself lives in internal/store/wal. These aliases keep
+// the names the benchmark harness (bench/, a frozen module) compiles
+// against; delete them in the next benchmark-only change (ROADMAP item
+// 1), once bench/ imports the wal package directly.
+type (
+	FS      = wal.FS
+	File    = wal.File
+	OS      = wal.OS
+	Options = wal.Options
+	Metrics = wal.Metrics
+)
+
+// NewMetrics is wal.NewMetrics; see the aliases above.
+var NewMetrics = wal.NewMetrics
 
 // TrustLog is the trust.Store implementation: trust mutations as WAL
 // records, folded periodically into a JSON ledger snapshot (plain
@@ -28,7 +48,7 @@ import (
 //
 // Directory layout:
 //
-//	wal-<seq>.seg            — segment files (see wal.go)
+//	wal-<seq>.seg            — segment files (see internal/store/wal)
 //	snapshot-<seq>.json      — ledger state covering segments ≤ seq
 //
 // Compaction: rotate (seal the tail), write snapshot-<sealedSeq>.json
@@ -37,10 +57,10 @@ import (
 // old snapshot plus all segments, or the new snapshot plus a superset
 // of the segments it needs — both recover to the same ledger.
 type TrustLog struct {
-	wal *WAL
-	fs  FS
+	wal *wal.WAL
+	fs  wal.FS
 	dir string
-	m   *Metrics
+	m   *wal.Metrics
 
 	mu         sync.Mutex
 	coveredSeq uint64 // newest snapshot's coverage
@@ -87,25 +107,25 @@ type snapshotFile struct {
 
 // OpenTrustLog opens (or creates) the durable trust store in dir.
 // Leftover temp files from an interrupted compaction are removed.
-func OpenTrustLog(dir string, opts Options) (*TrustLog, error) {
+func OpenTrustLog(dir string, opts wal.Options) (*TrustLog, error) {
 	if opts.FS == nil {
-		opts.FS = OS{}
+		opts.FS = wal.OS{}
 	}
-	wal, err := OpenWAL(dir, opts)
+	w, err := wal.OpenWAL(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	t := &TrustLog{wal: wal, fs: opts.FS, dir: dir, m: opts.Metrics}
+	t := &TrustLog{wal: w, fs: opts.FS, dir: dir, m: opts.Metrics}
 	names, err := t.fs.ReadDir(dir)
 	if err != nil {
-		wal.Close()
+		w.Close()
 		return nil, fmt.Errorf("store: listing trust log dir: %w", err)
 	}
 	for _, name := range names {
 		if strings.HasSuffix(name, ".tmp") {
 			// An interrupted compaction's half-written snapshot: never
 			// renamed, so never authoritative. Drop it.
-			_ = t.fs.Remove(join(dir, name))
+			_ = t.fs.Remove(filepath.Join(dir, name))
 		}
 		if seq, ok := parseSnapName(name); ok && seq > t.coveredSeq {
 			t.coveredSeq = seq
@@ -115,7 +135,7 @@ func OpenTrustLog(dir string, opts Options) (*TrustLog, error) {
 	// leaves both; the newest wins and the stale one is junk.
 	for _, name := range names {
 		if seq, ok := parseSnapName(name); ok && seq < t.coveredSeq {
-			_ = t.fs.Remove(join(dir, name))
+			_ = t.fs.Remove(filepath.Join(dir, name))
 		}
 	}
 	return t, nil
@@ -186,7 +206,7 @@ func (t *TrustLog) Recover(l *trust.Ledger, now time.Time) (TrustRecoveryStats, 
 // readSnapshot returns the embedded ledger snapshot bytes of
 // snapshot-<seq>.json.
 func (t *TrustLog) readSnapshot(seq uint64) (json.RawMessage, error) {
-	rc, err := t.fs.OpenRead(join(t.dir, snapName(seq)))
+	rc, err := t.fs.OpenRead(filepath.Join(t.dir, snapName(seq)))
 	if err != nil {
 		return nil, fmt.Errorf("store: opening snapshot: %w", err)
 	}
@@ -247,7 +267,7 @@ func (t *TrustLog) Compact(l *trust.Ledger, now time.Time) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.wal.Rotate(); err != nil {
-		t.m.recordCompaction(err, 0)
+		t.m.RecordCompaction(err, 0)
 		return err
 	}
 	sealed := t.wal.SealedSegments()
@@ -256,7 +276,7 @@ func (t *TrustLog) Compact(l *trust.Ledger, now time.Time) error {
 	}
 	coverSeq := sealed[len(sealed)-1]
 	if err := t.writeSnapshot(l, now, coverSeq); err != nil {
-		t.m.recordCompaction(err, 0)
+		t.m.RecordCompaction(err, 0)
 		return err
 	}
 	oldCovered := t.coveredSeq
@@ -264,14 +284,14 @@ func (t *TrustLog) Compact(l *trust.Ledger, now time.Time) error {
 	// Prune is cleanup, not correctness: leftover covered segments replay
 	// idempotently at recovery. Report the error but the snapshot stands.
 	if err := t.wal.PruneThrough(coverSeq); err != nil {
-		t.m.recordCompaction(err, len(t.wal.SealedSegments())+1)
+		t.m.RecordCompaction(err, len(t.wal.SealedSegments())+1)
 		return err
 	}
 	if oldCovered > 0 && oldCovered != coverSeq {
-		_ = t.fs.Remove(join(t.dir, snapName(oldCovered)))
+		_ = t.fs.Remove(filepath.Join(t.dir, snapName(oldCovered)))
 		_ = t.fs.SyncDir(t.dir)
 	}
-	t.m.recordCompaction(nil, len(t.wal.SealedSegments())+1)
+	t.m.RecordCompaction(nil, len(t.wal.SealedSegments())+1)
 	return nil
 }
 
@@ -286,7 +306,7 @@ func (t *TrustLog) writeSnapshot(l *trust.Ledger, now time.Time, seq uint64) err
 	if err != nil {
 		return fmt.Errorf("store: encoding snapshot file: %w", err)
 	}
-	tmp := join(t.dir, snapName(seq)+".tmp")
+	tmp := filepath.Join(t.dir, snapName(seq)+".tmp")
 	f, err := t.fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot temp: %w", err)
@@ -305,7 +325,7 @@ func (t *TrustLog) writeSnapshot(l *trust.Ledger, now time.Time, seq uint64) err
 		t.fs.Remove(tmp)
 		return fmt.Errorf("store: closing snapshot: %w", err)
 	}
-	if err := t.fs.Rename(tmp, join(t.dir, snapName(seq))); err != nil {
+	if err := t.fs.Rename(tmp, filepath.Join(t.dir, snapName(seq))); err != nil {
 		t.fs.Remove(tmp)
 		return fmt.Errorf("store: publishing snapshot: %w", err)
 	}

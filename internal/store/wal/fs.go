@@ -1,4 +1,4 @@
-// Package store is the crash-safe storage substrate of the collector
+// Package wal is the crash-safe storage substrate of the collector
 // tier: an append-only segment WAL whose records are length-prefixed and
 // CRC32C-checksummed, with torn-tail recovery, size-triggered segment
 // rotation, and snapshot compaction. It exists because the whole-file
@@ -19,7 +19,7 @@
 // All file access goes through the FS interface so the chaos harness
 // (internal/resilience/chaos) can inject short writes, fsync errors and
 // kill-at-random-offset power cuts underneath an unmodified WAL.
-package store
+package wal
 
 import (
 	"io"

@@ -6,10 +6,19 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"sensorcal/internal/store/wal"
 )
 
+// These tests drive the segment log through its exported surface; the
+// on-disk segment names and frame header size below restate its format.
+
+const frameHeaderBytes = 8
+
+func segName(seq uint64) string { return fmt.Sprintf("wal-%016x.seg", seq) }
+
 // collect replays the whole log into a slice of payload copies.
-func collect(t *testing.T, w *WAL) [][]byte {
+func collect(t *testing.T, w *wal.WAL) [][]byte {
 	t.Helper()
 	var got [][]byte
 	if _, err := w.Replay(func(p []byte) error {
@@ -31,7 +40,7 @@ func payloads(n int) [][]byte {
 
 func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, Options{})
+	w, err := wal.OpenWAL(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +64,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 
 	// A clean reopen replays the same sequence.
-	w2, err := OpenWAL(dir, Options{})
+	w2, err := wal.OpenWAL(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +78,7 @@ func TestWALRoundTrip(t *testing.T) {
 }
 
 func TestWALRejectsEmptyAndOversizeRecords(t *testing.T) {
-	w, err := OpenWAL(t.TempDir(), Options{})
+	w, err := wal.OpenWAL(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +86,7 @@ func TestWALRejectsEmptyAndOversizeRecords(t *testing.T) {
 	if err := w.Append(nil); err == nil {
 		t.Fatal("empty record accepted")
 	}
-	if err := w.Append(make([]byte, MaxRecordBytes+1)); err == nil {
+	if err := w.Append(make([]byte, wal.MaxRecordBytes+1)); err == nil {
 		t.Fatal("oversize record accepted")
 	}
 	if err := w.Append([]byte("fine")); err != nil {
@@ -91,7 +100,7 @@ func TestWALRejectsEmptyAndOversizeRecords(t *testing.T) {
 // whose frames are whole and reports the rest as torn.
 func TestWALTornTailTruncatedAtEveryOffset(t *testing.T) {
 	base := t.TempDir()
-	w, err := OpenWAL(base, Options{})
+	w, err := wal.OpenWAL(base, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +126,7 @@ func TestWALTornTailTruncatedAtEveryOffset(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w2, err := OpenWAL(dir, Options{})
+		w2, err := wal.OpenWAL(dir, wal.Options{})
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
@@ -144,7 +153,7 @@ func TestWALTornTailTruncatedAtEveryOffset(t *testing.T) {
 // checksum must reject the frame and recovery truncates it like a tear.
 func TestWALTornTailBitFlip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, Options{})
+	w, err := wal.OpenWAL(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +169,7 @@ func TestWALTornTailBitFlip(t *testing.T) {
 	if err := os.WriteFile(seg, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := OpenWAL(dir, Options{})
+	w2, err := wal.OpenWAL(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +184,7 @@ func TestWALTornTailBitFlip(t *testing.T) {
 
 func TestWALRotationPreservesOrderAcrossSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, Options{SegmentBytes: 256})
+	w, err := wal.OpenWAL(dir, wal.Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +209,7 @@ func TestWALRotationPreservesOrderAcrossSegments(t *testing.T) {
 	w.Close()
 
 	// Reopen: sealed segments plus tail replay in the same order.
-	w2, err := OpenWAL(dir, Options{SegmentBytes: 256})
+	w2, err := wal.OpenWAL(dir, wal.Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +224,7 @@ func TestWALRotationPreservesOrderAcrossSegments(t *testing.T) {
 // loudly instead of silently dropping history.
 func TestWALSealedSegmentCorruptionIsAnError(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, Options{SegmentBytes: 128})
+	w, err := wal.OpenWAL(dir, wal.Options{SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +244,7 @@ func TestWALSealedSegmentCorruptionIsAnError(t *testing.T) {
 	if err := os.WriteFile(seg, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := OpenWAL(dir, Options{SegmentBytes: 128})
+	w2, err := wal.OpenWAL(dir, wal.Options{SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err) // open only repairs the tail; sealed damage surfaces at replay
 	}
@@ -247,7 +256,7 @@ func TestWALSealedSegmentCorruptionIsAnError(t *testing.T) {
 
 func TestWALPruneThroughRemovesCoveredSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, Options{SegmentBytes: 128})
+	w, err := wal.OpenWAL(dir, wal.Options{SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,12 @@ import (
 	"time"
 )
 
-// Ledger persistence. spectrumd restarts must not reset every operator to
-// the initial score — a fabricator could launder its history by bouncing
-// the collector. The snapshot carries nodes and scores; pending epochs
-// are deliberately not persisted (they re-accumulate within one window).
+// Ledger snapshots: nodes and scores as one JSON document. The trust log
+// (internal/store) writes one when it compacts its WAL, folding sealed
+// segments into it so a restart need not replay the whole history, and a
+// replica joining the ring bootstraps from one streamed by a peer's
+// catch-up. Nothing else persists a ledger. Pending epochs are not in it;
+// they are not durable anywhere (ROADMAP item 13).
 
 // ledgerSnapshot is the serialized ledger.
 type ledgerSnapshot struct {
@@ -48,10 +50,6 @@ func (l *Ledger) Save(w io.Writer, now time.Time) error {
 // collector fleet's clocks drift by seconds, not minutes; anything beyond
 // this is a timestamp that never came from a wall clock we trust.
 const loadClockSkewTolerance = 5 * time.Minute
-
-// Load restores a snapshot into an empty ledger, validating against the
-// system clock. See LoadAt.
-func (l *Ledger) Load(r io.Reader) error { return l.LoadAt(r, time.Now()) }
 
 // LoadAt restores a snapshot into an empty ledger. Loading over existing
 // registrations is refused to avoid silent merges, a snapshot whose

@@ -10,10 +10,11 @@ import "time"
 //
 // The contract is deliberately small and off the submit hot path:
 // registrations append when a node enrolls, scores append when an epoch
-// closes. Individual readings are never persisted here — the agent-side
-// spool already makes them durable until the collector acknowledges
-// them, and an unflushed pending epoch re-accumulates from replay within
-// one window.
+// closes. Individual readings are never persisted here: the agent-side
+// spool keeps each one durable until the collector's 202, and no longer.
+// A pending epoch that dies with the process re-accumulates only the
+// readings whose responses were lost and are replayed; acknowledged ones
+// are gone (ROADMAP item 13).
 type Store interface {
 	// AppendRegister durably records an enrollment. It must return nil
 	// only once the record would survive a crash.

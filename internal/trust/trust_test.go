@@ -265,11 +265,12 @@ func TestLedgerSaveLoad(t *testing.T) {
 		l.Record("b", 0)
 	}
 	var buf bytes.Buffer
-	if err := l.Save(&buf, time.Date(2026, 7, 6, 18, 0, 0, 0, time.UTC)); err != nil {
+	saved := time.Date(2026, 7, 6, 18, 0, 0, 0, time.UTC)
+	if err := l.Save(&buf, saved); err != nil {
 		t.Fatal(err)
 	}
 	fresh := NewLedger()
-	if err := fresh.Load(&buf); err != nil {
+	if err := fresh.LoadAt(&buf, saved.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.Len() != 2 {
@@ -293,21 +294,22 @@ func TestLedgerLoadRejections(t *testing.T) {
 	l := NewLedger()
 	_ = l.Register(Node{ID: "x"})
 	var buf bytes.Buffer
-	_ = l.Save(&buf, time.Now())
+	now := time.Date(2026, 7, 6, 18, 0, 0, 0, time.UTC)
+	_ = l.Save(&buf, now)
 	// Into a non-empty ledger.
-	if err := l.Load(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := l.LoadAt(bytes.NewReader(buf.Bytes()), now); err == nil {
 		t.Error("loading into a populated ledger should fail")
 	}
 	// Garbage.
-	if err := NewLedger().Load(bytes.NewReader([]byte("{bad"))); err == nil {
+	if err := NewLedger().LoadAt(bytes.NewReader([]byte("{bad")), now); err == nil {
 		t.Error("garbage snapshot should fail")
 	}
 	// Corrupt score.
-	if err := NewLedger().Load(bytes.NewReader([]byte(`{"nodes":[{"ID":"a","score":7}]}`))); err == nil {
+	if err := NewLedger().LoadAt(bytes.NewReader([]byte(`{"nodes":[{"ID":"a","score":7}]}`)), now); err == nil {
 		t.Error("out-of-range score should fail")
 	}
 	// Missing ID.
-	if err := NewLedger().Load(bytes.NewReader([]byte(`{"nodes":[{"score":0.5}]}`))); err == nil {
+	if err := NewLedger().LoadAt(bytes.NewReader([]byte(`{"nodes":[{"score":0.5}]}`)), now); err == nil {
 		t.Error("empty ID should fail")
 	}
 }
