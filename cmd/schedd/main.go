@@ -128,7 +128,7 @@ func (d *daemon) fleetState(ctx context.Context) []sched.NodeState {
 		}
 		states := make([]sched.NodeState, 0, len(entries))
 		for _, e := range entries {
-			states = append(states, e.NodeState(d.site.Name, d.duty))
+			states = append(states, sched.NodeStateOf(e, d.site.Name, d.duty))
 		}
 		return states
 	}

@@ -7,7 +7,7 @@
 //
 //	spectrumd [-addr :8025] [-epoch 1m]
 //	          [-wal waldir] [-wal-compact-segments 4]
-//	          [-replica-id r1] [-ring r1=http://a:8025,r2=http://b:8025]
+//	          [-replica-id local] [-ring r1=http://a:8025,r2=http://b:8025]
 //	          [-ring-secret s | $SENSORCAL_RING_SECRET]
 //	          [-ring-vnodes 128] [-catchup-wait 30s]
 //	          [-profile-contention] [-log-level info]
@@ -20,17 +20,18 @@
 // profilers so /debug/pprof/mutex and /debug/pprof/block report where
 // ingest actually waits.
 //
-// -replica-id + -ring turn the daemon into one member of a multi-replica
-// collector tier (internal/replica): a consistent-hash ring partitions
-// ingest by node ID, misrouted submissions are proxied to their owner,
-// the lexically smallest member merges and closes epochs ring-wide, and
-// a (re)joining member catches up from a live peer before /readyz goes
-// green. Agents need no changes — any replica accepts the whole API.
-// Replica mode requires a shared ring secret (-ring-secret, or the
-// SENSORCAL_RING_SECRET environment variable so the credential stays
-// out of process listings): the /replica/* peer protocol can install
-// absolute trust scores and drain pending evidence, so every peer
-// request is authenticated and everything else gets 403.
+// The daemon is a member of a collector ring (internal/replica). Without
+// -ring it is a ring of one: it owns every node, closes every epoch and
+// is ready at once. -replica-id + -ring make it one member of a
+// multi-replica tier: a consistent-hash ring partitions ingest by node
+// ID, misrouted submissions are proxied to their owner, the lexically
+// smallest member merges and closes epochs ring-wide, and a (re)joining
+// member catches up from a live peer before /readyz goes green. Agents
+// need no changes — any member accepts the whole API. A ring with a peer
+// needs a shared secret (-ring-secret, or SENSORCAL_RING_SECRET to keep
+// it out of process listings): the /replica/* peer protocol can install
+// absolute trust scores and drain pending evidence, so a peer request
+// without the secret gets 403 — and with no secret set, every one does.
 //
 // -wal is the daemon's one persistence path, the crash-safe trust store
 // (internal/store): every registration and every epoch's score batch is
@@ -44,7 +45,7 @@
 //	POST /api/register — {"id","operator","lat","lon","claimed_outdoor","hardware"}
 //	POST /api/readings — {"node","signal_id","power_dbm","at"}
 //	GET  /api/trust?node=ID
-//	GET  /api/ring      — ring topology and readiness (replica mode)
+//	GET  /api/ring      — ring topology and readiness
 //	POST /api/stream/register — enroll a streaming sensor session
 //	POST /api/stream/frames   — batched base64 IQ frames through the shared engine
 //	GET  /api/stream/stats    — fleet/session counters
@@ -111,8 +112,8 @@ type daemon struct {
 	// stream is the fleet-scale continuous-monitoring service (-stream);
 	// nil leaves the daemon a pure trust collector.
 	stream *stream.Service
-	// replica is the multi-replica collector tier (-replica-id/-ring);
-	// nil runs the classic single-collector daemon.
+	// replica is the daemon's member of the collector ring; without -ring
+	// the ring is the daemon alone.
 	replica *replica.Node
 }
 
@@ -134,23 +135,14 @@ func parseBand(s string) (lo, hi float64, err error) {
 // appended durably inside the close itself — then lets the WAL fold
 // sealed segments into a snapshot.
 func (d *daemon) closeEpochs(cutoff time.Time) {
-	var anomalies []trust.Anomaly
-	switch {
-	case d.replica != nil && d.replica.IsCoordinator():
-		// Ring coordinator: drain every member, merge, close once,
-		// broadcast the install.
-		anomalies = d.replica.MergeClose(cutoff)
-	case d.replica != nil:
-		// Follower: never closes locally — the coordinator drains this
-		// replica's pending epochs over /replica/drain and installs the
-		// merged result back. Closing here too would double-count. (At
-		// shutdown the follower instead hands its pending epochs to the
-		// coordinator; see daemon.shutdown.)
-	default:
-		anomalies = d.col.CloseEpochs(cutoff)
-	}
-	for _, a := range anomalies {
-		d.log.Warnf("anomaly: %v", a)
+	// Only the coordinator closes: it drains every member, merges, closes
+	// once and installs the result ring-wide. A follower's pending epochs
+	// reach it over /replica/drain (at shutdown, /replica/handoff);
+	// closing them here too would double-count.
+	if d.replica.IsCoordinator() {
+		for _, a := range d.replica.MergeClose(cutoff) {
+			d.log.Warnf("anomaly: %v", a)
+		}
 	}
 	if d.tlog == nil {
 		return
@@ -164,9 +156,9 @@ func (d *daemon) closeEpochs(cutoff time.Time) {
 
 // startCloser starts closing matured epochs once per window. The cadence
 // machinery is the collector's background closer (trust.Closer) with the
-// daemon's clock injected; the Run hook substitutes the replica-aware
-// close (coordinator merge / follower no-op) plus compaction for the
-// plain single-collector pass.
+// daemon's clock injected; the Run hook substitutes the ring's close
+// (coordinator merge / follower no-op) plus compaction for the plain
+// collector pass.
 func (d *daemon) startCloser() {
 	d.closer = d.col.StartCloser(trust.CloserConfig{
 		Interval: d.epoch,
@@ -202,16 +194,15 @@ func (d *daemon) shutdown(srv *http.Server) {
 		// order (CloseDrained is single-flight).
 		d.closer.Stop()
 	}
-	if d.replica != nil && !d.replica.IsCoordinator() {
-		// A follower's pending epochs live only in memory and only the
-		// coordinator may close them: hand them over — including the
-		// still-maturing window — so a graceful restart loses no acked
-		// evidence. If the coordinator is down too, that evidence is lost:
-		// agents re-submit only readings they never got a 202 for
-		// (ROADMAP item 13). Log exactly what is at stake.
-		if err := d.replica.FlushPending(d.clk.Now().Add(d.epoch)); err != nil {
-			d.log.Warnf("shutdown handoff failed, trailing-window evidence lost with this process: %v", err)
-		}
+	// A follower's pending epochs live only in memory and only the
+	// coordinator may close them: hand them over — including the
+	// still-maturing window — so a graceful restart loses no acked
+	// evidence. (On the coordinator this does nothing; the close below
+	// takes them.) If the coordinator is down too, that evidence is lost:
+	// agents re-submit only readings they never got a 202 for (ROADMAP
+	// item 13). Log exactly what is at stake.
+	if err := d.replica.FlushPending(d.clk.Now().Add(d.epoch)); err != nil {
+		d.log.Warnf("shutdown handoff failed, trailing-window evidence lost with this process: %v", err)
 	}
 	d.closeEpochs(d.clk.Now().Add(d.epoch))
 	if d.tlog != nil {
@@ -225,23 +216,17 @@ func (d *daemon) shutdown(srv *http.Server) {
 // handler mounts the collector API — wrapped in the load-shedding and
 // per-request-timeout middleware — onto the obs admin surface. The debug
 // endpoints stay outside the timeout: a CPU profile legitimately takes
-// longer than any API request should.
+// longer than any API request should. The /replica/* peer protocol
+// mounts outside the hardening middleware too — drains and catch-up
+// streams are ring-internal and must not compete with agents for the
+// in-flight budget — but every /replica/* route demands the shared ring
+// credential, so on the public listener it is 403 to anything but a
+// ring member.
 func (d *daemon) handler() http.Handler {
 	mux := obs.AdminMux(nil, nil, d.health)
-	if d.replica != nil {
-		// Replica mode: the agent-facing API routes through the ring
-		// (hardened like the plain collector); the /replica/* peer
-		// protocol mounts outside the hardening middleware — drains and
-		// catch-up streams are ring-internal and must not compete with
-		// agents for the in-flight budget — but every /replica/* route
-		// demands the shared ring credential, so on the public listener
-		// it is 403 to anything but a ring member.
-		rh := d.replica.Handler()
-		mux.Handle("/api/", trust.Harden(rh, trust.HardenConfig{}))
-		mux.Handle("/replica/", rh)
-	} else {
-		mux.Handle("/api/", trust.Harden(d.col.Handler(d.clk.Now), trust.HardenConfig{}))
-	}
+	rh := d.replica.Handler()
+	mux.Handle("/api/", trust.Harden(rh, trust.HardenConfig{}))
+	mux.Handle("/replica/", rh)
 	if d.stream != nil {
 		// Longer patterns win in ServeMux, so the streaming surface
 		// carves its routes out of /api/ without touching the trust API.
@@ -277,6 +262,60 @@ func (d *daemon) openTrustLog(dir string) error {
 	return nil
 }
 
+// joinRing makes the daemon the member self of the collector ring spec
+// (id=url,id=url); an empty spec is a ring of the daemon alone. Build it
+// after openTrustLog: a joining peer's catch-up streams the WAL.
+func (d *daemon) joinRing(self, spec string, vnodes int, secret string) error {
+	members := []replica.Member{{ID: self}}
+	if spec != "" {
+		var err error
+		if members, err = replica.ParseMembers(spec); err != nil {
+			return fmt.Errorf("-ring: %w", err)
+		}
+	}
+	node, err := replica.New(replica.Config{
+		Self:      self,
+		Members:   members,
+		VNodes:    vnodes,
+		Collector: d.col,
+		Secret:    secret,
+		Log:       d.tlog,
+		Health:    d.health,
+		Now:       d.clk.Now,
+	})
+	d.replica = node
+	return err
+}
+
+// catchUp copies a live peer's state before the member reports ready.
+// Outbound only, so it runs while this member already serves /replica/*
+// to others — a whole ring booting at once converges (everyone copies an
+// empty peer), a ring with no live peer within wait is a cold start, and
+// a ring of one has no peer to wait for.
+func (d *daemon) catchUp(ctx context.Context, wait time.Duration) {
+	deadline := time.Now().Add(wait)
+	for {
+		reached, err := d.replica.CatchUp()
+		if reached && err == nil {
+			d.log.Infof("replica caught up; ready")
+			return
+		}
+		if err != nil {
+			d.log.Warnf("catch-up: %v", err)
+		}
+		if !reached && time.Now().After(deadline) {
+			d.log.Infof("no live peer within %s; assuming cold start", wait)
+			d.replica.MarkReady()
+			return
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(2 * time.Second):
+		}
+	}
+}
+
 func main() {
 	logger := obs.NewLogger("spectrumd")
 	var (
@@ -285,9 +324,9 @@ func main() {
 		walDir  = flag.String("wal", "", "crash-safe trust store directory (empty: the ledger is kept in memory only)")
 		walSegs = flag.Int("wal-compact-segments", store.DefaultCompactAfterSegments, "sealed wal segments that trigger snapshot compaction")
 
-		replicaID   = flag.String("replica-id", "", "this member's ID in the collector ring (empty: single-collector mode)")
-		ringSpec    = flag.String("ring", "", "full ring membership as id=url,id=url (must include -replica-id)")
-		ringSecret  = flag.String("ring-secret", "", "shared peer credential authenticating /replica/* (identical on every member; prefer SENSORCAL_RING_SECRET to keep it out of process listings)")
+		replicaID   = flag.String("replica-id", "local", "this member's ID in the collector ring")
+		ringSpec    = flag.String("ring", "", "full ring membership as id=url,id=url, including -replica-id (empty: a ring of this daemon alone)")
+		ringSecret  = flag.String("ring-secret", "", "shared peer credential authenticating /replica/*, required when the ring has a peer (identical on every member; prefer SENSORCAL_RING_SECRET to keep it out of process listings)")
 		ringVnodes  = flag.Int("ring-vnodes", replica.DefaultVirtualNodes, "virtual nodes per ring member (identical on every member)")
 		catchupWait = flag.Duration("catchup-wait", 30*time.Second, "how long a booting replica waits for a live peer before assuming a cold start")
 
@@ -340,41 +379,19 @@ func main() {
 		health.AddCheck("store", func() bool { return !c.StoreDegraded() })
 	}
 	health.SetReady("ledger", true)
-	if *replicaID != "" {
-		members, err := replica.ParseMembers(*ringSpec)
-		if err != nil {
-			logger.Fatalf("-ring: %v", err)
-		}
-		secret := *ringSecret
-		if secret == "" {
-			secret = os.Getenv("SENSORCAL_RING_SECRET")
-		}
-		if secret == "" {
-			logger.Fatalf("replica mode needs a ring credential: set -ring-secret or SENSORCAL_RING_SECRET (the same value on every member)")
-		}
-		node, err := replica.New(replica.Config{
-			Self:      *replicaID,
-			Members:   members,
-			VNodes:    *ringVnodes,
-			Collector: c,
-			Secret:    secret,
-			Log:       d.tlog,
-			Registry:  obs.Default(),
-			Tracer:    obs.DefaultTracer(),
-			Health:    health,
-			Now:       d.clk.Now,
-		})
-		if err != nil {
-			logger.Fatalf("replica: %v", err)
-		}
-		d.replica = node
-		role := "follower"
-		if node.IsCoordinator() {
-			role = "coordinator"
-		}
-		logger.Infof("replica %s (%s) in a %d-member ring, %d virtual nodes each",
-			*replicaID, role, node.Ring().Len(), node.Ring().VirtualNodes())
+	secret := *ringSecret
+	if secret == "" {
+		secret = os.Getenv("SENSORCAL_RING_SECRET")
 	}
+	if err := d.joinRing(*replicaID, *ringSpec, *ringVnodes, secret); err != nil {
+		logger.Fatalf("%v", err)
+	}
+	role := "follower"
+	if d.replica.IsCoordinator() {
+		role = "coordinator"
+	}
+	logger.Infof("replica %s (%s) in a %d-member ring, %d virtual nodes each",
+		*replicaID, role, d.replica.Ring().Len(), d.replica.Ring().VirtualNodes())
 	if *streamOn {
 		lo, hi, err := parseBand(*streamBand)
 		if err != nil {
@@ -403,35 +420,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	d.startCloser()
-	if d.replica != nil {
-		// Catch up from a live peer before going ready. Outbound only, so
-		// it runs while this replica already serves /replica/* to others —
-		// a whole ring booting at once converges (everyone copies an empty
-		// peer), and a ring with no live peers at all is a cold start.
-		go func() {
-			deadline := time.Now().Add(*catchupWait)
-			for {
-				reached, err := d.replica.CatchUp()
-				if reached && err == nil {
-					logger.Infof("caught up from a live peer; replica ready")
-					return
-				}
-				if err != nil {
-					logger.Warnf("catch-up: %v", err)
-				}
-				if !reached && time.Now().After(deadline) {
-					logger.Infof("no live peer within %s; assuming cold start", *catchupWait)
-					d.replica.MarkReady()
-					return
-				}
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(2 * time.Second):
-				}
-			}
-		}()
-	}
+	go d.catchUp(ctx, *catchupWait)
 
 	srv := &http.Server{Addr: *addr, Handler: d.handler()}
 	errc := make(chan error, 1)

@@ -1,9 +1,15 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,19 +24,29 @@ func quietLogger() *obs.Logger {
 	return l
 }
 
-// newTestDaemon builds a daemon on a simulated clock starting at start.
+// newTestDaemon builds a plain daemon — a ring of one — on a simulated
+// clock starting at start.
 func newTestDaemon(t *testing.T, start time.Time) (*daemon, *clock.Simulated) {
 	t.Helper()
+	d, sim := newUnjoinedDaemon(start)
+	if err := d.joinRing("local", "", 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	return d, sim
+}
+
+// newUnjoinedDaemon is newTestDaemon before joinRing.
+func newUnjoinedDaemon(start time.Time) (*daemon, *clock.Simulated) {
 	sim := clock.NewSimulated(start)
 	c := trust.NewCollector()
 	c.EpochWindow = time.Minute
-	d := &daemon{
-		col:   c,
-		clk:   sim,
-		epoch: time.Minute,
-		log:   quietLogger(),
-	}
-	return d, sim
+	return &daemon{
+		col:    c,
+		clk:    sim,
+		epoch:  time.Minute,
+		log:    quietLogger(),
+		health: obs.NewHealth(),
+	}, sim
 }
 
 func register(t *testing.T, c *trust.Collector, ids ...trust.NodeID) {
@@ -99,7 +115,7 @@ func TestShutdownFlushesPendingEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []trust.NodeID{"a", "b", "c"} {
-		if err := d.col.RegisterDurable(trust.Node{ID: id, Registered: start}); err != nil {
+		if err := d.col.ApplyRegister(trust.Node{ID: id, Registered: start}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,5 +249,143 @@ func TestShutdownWaitsForInFlightClose(t *testing.T) {
 		if got, want := d.col.Ledger.Trust(id), serial.Ledger.Trust(id); got != want {
 			t.Errorf("trust(%s) = %v, want %v", id, got, want)
 		}
+	}
+}
+
+// TestPlainDaemonIsARingOfOne: with no -ring the daemon is a ring of
+// itself — coordinator, one member, the replica readiness probe present
+// and passing — and boot catch-up returns at once instead of waiting out
+// -catchup-wait for a peer that cannot exist.
+func TestPlainDaemonIsARingOfOne(t *testing.T) {
+	d, _ := newTestDaemon(t, time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC))
+	srv := httptest.NewServer(d.handler())
+	defer srv.Close()
+	done := make(chan struct{})
+	go func() {
+		d.catchUp(context.Background(), time.Hour)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a ring of one waited for a peer at boot")
+	}
+	if !strings.Contains(fmt.Sprint(d.health), "replica:true") {
+		t.Fatalf("readiness has no passing replica probe: %v", d.health)
+	}
+	resp, err := http.Get(srv.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz = %d, want 200", resp.StatusCode)
+	}
+	resp, err = http.Get(srv.URL + "/api/ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ring struct {
+		Self, Coordinator string
+		Members           []json.RawMessage
+		Ready             bool
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ring); err != nil {
+		t.Fatal(err)
+	}
+	if ring.Self != "local" || ring.Coordinator != "local" || len(ring.Members) != 1 || !ring.Ready {
+		t.Fatalf("/api/ring = %+v, want one ready member coordinating itself", ring)
+	}
+}
+
+// TestFollowerDaemonHandsOffAtShutdown: in a two-member daemon ring, a
+// follower shutting down hands its trailing window to the coordinator,
+// which closes it — the same scores a single collector computes.
+func TestFollowerDaemonHandsOffAtShutdown(t *testing.T) {
+	start := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	coord, _ := newUnjoinedDaemon(start)
+	follower, _ := newUnjoinedDaemon(start)
+	var lns [2]net.Listener
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+	}
+	spec := "r1=http://" + lns[0].Addr().String() + ",r2=http://" + lns[1].Addr().String()
+	if err := coord.joinRing("r1", spec, 0, "test-secret"); err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.joinRing("r2", spec, 0, "test-secret"); err != nil {
+		t.Fatal(err)
+	}
+	var srvs [2]*http.Server
+	for i, d := range []*daemon{coord, follower} {
+		srvs[i] = &http.Server{Handler: d.handler()}
+		go srvs[i].Serve(lns[i])
+	}
+	defer srvs[0].Close()
+
+	// Enroll through the follower: the broadcast lands it on both ledgers.
+	nodes := []trust.NodeID{"a", "b", "c"}
+	for _, id := range nodes {
+		resp, err := http.Post("http://"+lns[1].Addr().String()+"/api/register", "application/json",
+			strings.NewReader(`{"id":"`+string(id)+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("register %s: %d", id, resp.StatusCode)
+		}
+	}
+	if got := coord.col.Ledger.Len(); got != len(nodes) {
+		t.Fatalf("coordinator ledger has %d nodes, want %d", got, len(nodes))
+	}
+	// The still-open window on the follower, with a fabricator in it.
+	readings := []trust.Reading{
+		{Node: "a", SignalID: "tv-521MHz", PowerDBm: -60},
+		{Node: "b", SignalID: "tv-521MHz", PowerDBm: -61},
+		{Node: "c", SignalID: "tv-521MHz", PowerDBm: -30},
+	}
+	for i := range readings {
+		readings[i].At = start.Add(10 * time.Second)
+	}
+	for _, r := range readings {
+		if err := follower.col.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	follower.shutdown(srvs[1])
+	if got := follower.col.PendingEpochs(); got != 0 {
+		t.Fatalf("follower holds %d pending epochs after shutdown, want 0", got)
+	}
+	if got := coord.col.PendingEpochs(); got != 1 {
+		t.Fatalf("coordinator holds %d pending epochs after the handoff, want 1", got)
+	}
+	coord.closeEpochs(start.Add(2 * time.Minute))
+	if got := len(coord.col.History("tv-521MHz")); got != 1 {
+		t.Fatalf("coordinator closed %d epochs, want the handed-off one", got)
+	}
+
+	serial := trust.NewCollector()
+	serial.EpochWindow = time.Minute
+	register(t, serial, nodes...)
+	for _, r := range readings {
+		if err := serial.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serial.CloseEpochs(start.Add(2 * time.Minute))
+	for _, id := range nodes {
+		if got, want := coord.col.Ledger.Trust(id), serial.Ledger.Trust(id); got != want {
+			t.Errorf("trust(%s) = %v, want %v", id, got, want)
+		}
+	}
+	if fab, honest := coord.col.Ledger.Trust("c"), coord.col.Ledger.Trust("a"); fab >= honest {
+		t.Errorf("fabricator score %v not below honest score %v", fab, honest)
 	}
 }

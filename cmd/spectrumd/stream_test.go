@@ -39,9 +39,7 @@ func TestDaemonMountsStreamRoutes(t *testing.T) {
 	}
 	defer sv.Close()
 	d.stream = sv
-	health := obs.NewHealth()
-	health.AddCheck("stream", func() bool { return !sv.Degraded() })
-	d.health = health
+	d.health.AddCheck("stream", func() bool { return !sv.Degraded() })
 	srv := httptest.NewServer(d.handler())
 	defer srv.Close()
 

@@ -79,8 +79,12 @@ func (n *Node) serveCatchup(w http.ResponseWriter, r *http.Request) {
 // restores it only on success, so a load balancer never routes to a
 // half-copied replica. reached reports whether any peer answered at
 // all: false means the whole ring looks cold (first boot) and the
-// caller may MarkReady without a copy.
+// caller may MarkReady without a copy. A ring of one has no peer to
+// copy: it is caught up as it stands, and readiness never drops.
 func (n *Node) CatchUp() (reached bool, err error) {
+	if n.ring.Len() == 1 {
+		return true, nil
+	}
 	_, span := obs.StartSpan(obs.WithTracer(context.Background(), n.resolveTracer()), "replica.catchup")
 	defer span.End()
 	n.caughtUp.Store(false)

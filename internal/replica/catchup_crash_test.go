@@ -32,7 +32,7 @@ func TestCatchupPowerCut(t *testing.T) {
 	peerCol.Store = peerLog
 	const fleet = 20
 	for ni := 0; ni < fleet; ni++ {
-		err := peerCol.RegisterDurable(trust.Node{
+		err := peerCol.ApplyRegister(trust.Node{
 			ID: trust.NodeID(fmt.Sprintf("node-%d", ni)), Operator: "op",
 			Hardware: "rtl-sdr-v3", Registered: testEpoch,
 		})

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,27 +21,34 @@ import (
 // every route must demand the ring credential, and the drain must never be
 // destructive before the coordinator plausibly holds the data.
 
-// TestNewRequiresSecret: a replica refuses to boot without a ring
-// credential — running the peer protocol open is not a configuration,
-// it is a vulnerability.
+// TestNewRequiresSecret: a ring with a peer refuses to boot without a
+// ring credential — running the peer protocol open is not a
+// configuration, it is a vulnerability. A ring of one has no peer to
+// authenticate and boots without one.
 func TestNewRequiresSecret(t *testing.T) {
-	_, err := New(Config{
-		Self:      "r1",
-		Members:   []Member{{ID: "r1"}},
-		Collector: newTestCollector(),
-		Registry:  obs.NewRegistry(),
-	})
-	if err == nil {
-		t.Fatal("New accepted a config without a ring secret")
+	newNode := func(members ...Member) error {
+		_, err := New(Config{
+			Self:      "r1",
+			Members:   members,
+			Collector: newTestCollector(),
+			Registry:  obs.NewRegistry(),
+		})
+		return err
+	}
+	if err := newNode(Member{ID: "r1"}, Member{ID: "r2", URL: "http://r2"}); err == nil {
+		t.Fatal("New accepted a ring with a peer and no ring secret")
+	}
+	if err := newNode(Member{ID: "r1"}); err != nil {
+		t.Fatalf("New refused a ring of one without a secret: %v", err)
 	}
 }
 
 // TestPeerProtocolRequiresRingCredential: every /replica/* route is 403
 // to callers without (or with the wrong) credential, and serves ring
-// members normally.
+// members normally. A member configured without a secret — a ring of
+// one — answers 403 to every /replica/* request, whatever it carries.
 func TestPeerProtocolRequiresRingCredential(t *testing.T) {
 	reps := newTestRing(t, 2)
-	base := reps[0].srv.URL
 	routes := []struct {
 		method, path, body string
 	}{
@@ -51,7 +59,7 @@ func TestPeerProtocolRequiresRingCredential(t *testing.T) {
 		{http.MethodGet, "/replica/activity", ""},
 		{http.MethodGet, "/replica/catchup", ""},
 	}
-	do := func(method, path, body, secret string) int {
+	do := func(base, method, path, body, secret string) int {
 		t.Helper()
 		req, err := http.NewRequest(method, base+path, bytes.NewReader([]byte(body)))
 		if err != nil {
@@ -68,11 +76,12 @@ func TestPeerProtocolRequiresRingCredential(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode
 	}
+	base := reps[0].srv.URL
 	for _, rt := range routes {
-		if code := do(rt.method, rt.path, rt.body, ""); code != http.StatusForbidden {
+		if code := do(base, rt.method, rt.path, rt.body, ""); code != http.StatusForbidden {
 			t.Errorf("%s %s without credential: %d, want 403", rt.method, rt.path, code)
 		}
-		if code := do(rt.method, rt.path, rt.body, "wrong-secret"); code != http.StatusForbidden {
+		if code := do(base, rt.method, rt.path, rt.body, "wrong-secret"); code != http.StatusForbidden {
 			t.Errorf("%s %s with a wrong credential: %d, want 403", rt.method, rt.path, code)
 		}
 	}
@@ -81,9 +90,27 @@ func TestPeerProtocolRequiresRingCredential(t *testing.T) {
 		t.Fatalf("unauthenticated peer calls enrolled %d nodes", n)
 	}
 	for _, rt := range routes {
-		if code := do(rt.method, rt.path, rt.body, testRingSecret); code == http.StatusForbidden {
+		if code := do(base, rt.method, rt.path, rt.body, testRingSecret); code == http.StatusForbidden {
 			t.Errorf("%s %s with the ring credential still 403", rt.method, rt.path)
 		}
+	}
+
+	col := newTestCollector()
+	alone, err := New(Config{Self: "r1", Members: []Member{{ID: "r1"}}, Collector: col, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(alone.Handler())
+	defer srv.Close()
+	for _, rt := range routes {
+		for _, secret := range []string{"", "wrong-secret", testRingSecret} {
+			if code := do(srv.URL, rt.method, rt.path, rt.body, secret); code != http.StatusForbidden {
+				t.Errorf("ring of one without a secret: %s %s with credential %q: %d, want 403", rt.method, rt.path, secret, code)
+			}
+		}
+	}
+	if n := len(col.Ledger.Nodes()); n != 0 {
+		t.Fatalf("peer calls to a ring of one enrolled %d nodes", n)
 	}
 }
 
@@ -136,15 +163,15 @@ func TestForgedForwardHeaderRoutesNormally(t *testing.T) {
 // the drain response is on the wire.
 type failingWriter struct{ h http.Header }
 
-func (f *failingWriter) Header() http.Header         { return f.h }
-func (f *failingWriter) Write([]byte) (int, error)   { return 0, errors.New("connection reset by peer") }
-func (f *failingWriter) WriteHeader(statusCode int)  {}
+func (f *failingWriter) Header() http.Header        { return f.h }
+func (f *failingWriter) Write([]byte) (int, error)  { return 0, errors.New("connection reset by peer") }
+func (f *failingWriter) WriteHeader(statusCode int) {}
 
 // TestDrainRestagesOnFailedResponse: epochs drained for a response the
 // coordinator never received must return to pending — late, not lost.
 func TestDrainRestagesOnFailedResponse(t *testing.T) {
 	node := newTestNode(t, "r1", []Member{{ID: "r1"}})
-	if err := node.col.RegisterDurable(trust.Node{ID: "node-1", Registered: testEpoch}); err != nil {
+	if err := node.col.ApplyRegister(trust.Node{ID: "node-1", Registered: testEpoch}); err != nil {
 		t.Fatal(err)
 	}
 	if err := node.col.Submit(trust.Reading{
@@ -188,7 +215,7 @@ func TestDrainRestagesOnFailedResponse(t *testing.T) {
 // the same last-write-wins rule live ingestion applies.
 func TestRestageDoesNotClobberNewerReadings(t *testing.T) {
 	col := newTestCollector()
-	if err := col.RegisterDurable(trust.Node{ID: "node-1", Registered: testEpoch}); err != nil {
+	if err := col.ApplyRegister(trust.Node{ID: "node-1", Registered: testEpoch}); err != nil {
 		t.Fatal(err)
 	}
 	submit := func(p float64) {
@@ -270,7 +297,7 @@ func TestFollowerFlushRestagesWhenCoordinatorDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.RegisterDurable(trust.Node{ID: "node-1", Registered: testEpoch}); err != nil {
+	if err := col.ApplyRegister(trust.Node{ID: "node-1", Registered: testEpoch}); err != nil {
 		t.Fatal(err)
 	}
 	if err := col.Submit(trust.Reading{Node: "node-1", SignalID: "s", PowerDBm: -60, At: testEpoch}); err != nil {
@@ -316,5 +343,37 @@ func TestRegisterBroadcastBoundedByDeadPeer(t *testing.T) {
 	mustPost(t, srv.URL+"/api/register", wireRegister{ID: "node-1", Operator: "op"}, http.StatusCreated)
 	if took := time.Since(start); took > 5*time.Second {
 		t.Fatalf("registration with two dead peers took %s; broadcast is not bounded", took)
+	}
+}
+
+// TestRegisterBodyOverCapIs413: a registration is six short fields, so a
+// 1 MiB body is refused with 413 — by the collector and by a ring member
+// routing the enrollment — and enrolls nothing.
+func TestRegisterBodyOverCapIs413(t *testing.T) {
+	single := newTestCollector()
+	singleSrv := httptest.NewServer(single.Handler(frozenNow))
+	defer singleSrv.Close()
+	reps := newTestRing(t, 2)
+	body := `{"id":"big","operator":"` + strings.Repeat("x", 1<<20) + `"}`
+	for _, tc := range []struct {
+		name string
+		url  string
+		col  *trust.Collector
+	}{
+		{"collector", singleSrv.URL, single},
+		{"ring member", reps[1].srv.URL, reps[1].col},
+	} {
+		resp, err := http.Post(tc.url+"/api/register", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: 1 MiB registration answered %d %s, want 413", tc.name, resp.StatusCode, out)
+		}
+		if n := tc.col.Ledger.Len(); n != 0 {
+			t.Errorf("%s: over-cap registration enrolled %d nodes", tc.name, n)
+		}
 	}
 }

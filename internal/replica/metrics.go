@@ -5,7 +5,6 @@ import "sensorcal/internal/obs"
 // metrics is the replica tier's own instrument panel, alongside the RED
 // metrics the HTTP middleware already records per route.
 type metrics struct {
-	localReadings     *obs.Counter
 	forwardedReadings *obs.Counter
 	forwardErrors     *obs.Counter
 	replicationErrors *obs.Counter
@@ -27,7 +26,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		reg = obs.Default()
 	}
 	return &metrics{
-		localReadings:     reg.Counter("replica_local_readings_total", "Readings owned by this replica and applied locally."),
 		forwardedReadings: reg.Counter("replica_forwarded_readings_total", "Misrouted readings proxied to their ring owner."),
 		forwardErrors:     reg.Counter("replica_forward_errors_total", "Forward attempts that failed; the whole submission sheds with 503."),
 		replicationErrors: reg.Counter("replica_replication_errors_total", "Best-effort registration broadcasts that failed."),

@@ -11,22 +11,12 @@ import (
 	"sensorcal/internal/trust"
 )
 
-// FleetEntry mirrors the collector's GET /api/fleet wire format: the
-// staleness signal spectrumd exposes for the planner. A zero
-// LastReadingAt means the node has never delivered consensus evidence.
-type FleetEntry struct {
-	Node          string    `json:"node"`
-	Score         float64   `json:"score"`
-	Rating        string    `json:"rating"`
-	RegisteredAt  time.Time `json:"registered_at"`
-	LastReadingAt time.Time `json:"last_reading_at"`
-}
-
-// NodeState converts a fleet entry into planner input. The collector
-// does not know report generation times, so LastReport stays zero
-// (never) until a richer signal exists; for prioritization that errs
-// toward scheduling, which is the safe direction.
-func (e FleetEntry) NodeState(site string, duty time.Duration) NodeState {
+// NodeStateOf converts a collector's /api/fleet entry into planner
+// input. The collector does not know report generation times, so
+// LastReport stays zero (never) until a richer signal exists; for
+// prioritization that errs toward scheduling, which is the safe
+// direction.
+func NodeStateOf(e trust.FleetEntry, site string, duty time.Duration) NodeState {
 	return NodeState{
 		Node:        trust.NodeID(e.Node),
 		Site:        site,
@@ -38,7 +28,7 @@ func (e FleetEntry) NodeState(site string, duty time.Duration) NodeState {
 
 // FetchFleet queries a spectrumd collector for the registered fleet and
 // each node's staleness signal.
-func FetchFleet(ctx context.Context, hc *http.Client, baseURL string) ([]FleetEntry, error) {
+func FetchFleet(ctx context.Context, hc *http.Client, baseURL string) ([]trust.FleetEntry, error) {
 	if hc == nil {
 		hc = &http.Client{Timeout: 10 * time.Second}
 	}
@@ -55,7 +45,7 @@ func FetchFleet(ctx context.Context, hc *http.Client, baseURL string) ([]FleetEn
 		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("sched: fleet query: collector returned %s: %s", resp.Status, snippet)
 	}
-	var entries []FleetEntry
+	var entries []trust.FleetEntry
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&entries); err != nil {
 		return nil, fmt.Errorf("sched: fleet query: decoding response: %w", err)
 	}

@@ -224,7 +224,7 @@ func (c *Client) DrainOnce(ctx context.Context) (acked int, more bool, err error
 		c.breaker.Cancel()
 		return 0, true, resilience.Permanent(err)
 	}
-	var summary batchResponse
+	var summary BatchSummary
 	err = c.retrier.Do(ctx, "drain", func(ctx context.Context) error {
 		resp, err := c.post(ctx, "/api/readings", body)
 		if err != nil {
@@ -233,7 +233,7 @@ func (c *Client) DrainOnce(ctx context.Context) (acked int, more bool, err error
 		if resp.StatusCode != http.StatusAccepted {
 			return errorFromResponse("drain", resp)
 		}
-		var got batchResponse
+		var got BatchSummary
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&got); err != nil {
 			resp.Body.Close()
 			return fmt.Errorf("trust: drain: decoding batch response: %w", err)

@@ -92,7 +92,7 @@ func TestReadingsBatchEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status = %s, want 202", resp.Status)
 	}
-	var summary batchResponse
+	var summary BatchSummary
 	if err := json.NewDecoder(resp.Body).Decode(&summary); err != nil {
 		t.Fatalf("decode: %v", err)
 	}

@@ -309,7 +309,7 @@ func TestAbsurdPowerRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var br batchResponse
+	var br BatchSummary
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatal(err)
 	}

@@ -312,6 +312,10 @@ type registerRequest struct {
 	Hardware       string  `json:"hardware"`
 }
 
+// maxRegisterBody bounds a POST /api/register body. A registration is
+// six short fields; the cap is /api/stream/register's.
+const maxRegisterBody = 64 << 10
+
 type submitRequest struct {
 	Node     string    `json:"node"`
 	SignalID string    `json:"signal_id"`
@@ -326,15 +330,73 @@ func (s submitRequest) reading() Reading {
 	return Reading{Node: NodeID(s.Node), SignalID: s.SignalID, PowerDBm: s.PowerDBm, At: s.At, Key: s.Key, Trace: s.Trace}
 }
 
-// batchResponse summarizes a batch submission. Rejected readings are
-// permanently bad (unknown node, missing signal, power no receiver could
-// have measured); retrying them cannot
-// succeed, so the client should ack and drop them.
-type batchResponse struct {
+// BatchSummary is the POST /api/readings response to a batch. Rejected
+// readings are permanently bad (unknown node, missing signal, power no
+// receiver could have measured); retrying them cannot succeed, so the
+// client should ack and drop them.
+type BatchSummary struct {
 	Accepted   int      `json:"accepted"`
 	Duplicates int      `json:"duplicates"`
 	Rejected   int      `json:"rejected"`
 	Errors     []string `json:"errors,omitempty"`
+}
+
+// maxSummaryErrors bounds the rejection messages one summary carries.
+const maxSummaryErrors = 10
+
+// add folds SubmitBatch outcomes into the summary.
+func (s *BatchSummary) add(outs []SubmitOutcome) {
+	for i := range outs {
+		switch o := &outs[i]; {
+		case o.Err != nil:
+			s.Rejected++
+			if len(s.Errors) < maxSummaryErrors {
+				s.Errors = append(s.Errors, o.Err.Error())
+			}
+		case o.Duplicate:
+			s.Duplicates++
+		default:
+			s.Accepted++
+		}
+	}
+}
+
+// Merge folds another collector's summary of part of the same request
+// (a ring member's answer to a forward) into s.
+func (s *BatchSummary) Merge(o BatchSummary) {
+	s.Accepted += o.Accepted
+	s.Duplicates += o.Duplicates
+	s.Rejected += o.Rejected
+	s.Errors = append(s.Errors, o.Errors[:min(len(o.Errors), maxSummaryErrors-len(s.Errors))]...)
+}
+
+// write answers a /api/readings request: 413 or 400 for a body over the
+// cap or one that does not parse; for a batch, 202 with the summary,
+// which lets a store-and-forward client ack its whole batch; for the
+// single-object form a bare 202, or 400 when its reading was rejected.
+func (s *BatchSummary) write(w http.ResponseWriter, batch bool, err error) {
+	switch {
+	case err != nil:
+		http.Error(w, err.Error(), decodeStatus(err))
+	case batch:
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		_ = json.NewEncoder(w).Encode(s)
+	case s.Rejected > 0:
+		http.Error(w, s.Errors[0], http.StatusBadRequest)
+	default:
+		w.WriteHeader(http.StatusAccepted)
+	}
+}
+
+// decodeStatus maps a body decode error to its response code: 413 for
+// a body over the cap, 400 for one that does not parse.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 type trustResponse struct {
@@ -343,13 +405,45 @@ type trustResponse struct {
 	Rating string  `json:"rating"`
 }
 
-// fleetEntry is the /api/fleet wire form (sched.FleetEntry mirrors it).
-type fleetEntry struct {
+// FleetEntry is one element of the GET /api/fleet response: the
+// staleness signal a measurement scheduler plans from. A zero
+// LastReadingAt means the node has never delivered consensus evidence.
+type FleetEntry struct {
 	Node          string    `json:"node"`
 	Score         float64   `json:"score"`
 	Rating        string    `json:"rating"`
 	RegisteredAt  time.Time `json:"registered_at"`
 	LastReadingAt time.Time `json:"last_reading_at"`
+}
+
+// Routing is what a member of a collector ring (internal/replica) adds
+// to the collector's API. The collector's code serves every route — wire
+// format, status codes, shedding and metrics — and the hooks cover the
+// part of the fleet other members hold. The zero Routing routes nothing:
+// it is Handler.
+type Routing struct {
+	// Enrolled is called with each node /api/register enrolled, before
+	// the 201 is written.
+	Enrolled func(Node)
+	// Readings returns the router for one /api/readings request.
+	Readings func() ReadingRouter
+	// Freshness returns the newest evidence time of nodes whose readings
+	// other members took; /api/fleet reports the newer of it and this
+	// collector's own.
+	Freshness func() map[NodeID]time.Time
+}
+
+// ReadingRouter takes the /api/readings elements another collector owns.
+type ReadingRouter interface {
+	// Claim reports whether the reading belongs elsewhere; a claimed
+	// reading is not ingested here. raw is its element exactly as it
+	// arrived, valid only during the call.
+	Claim(rd Reading, raw []byte) bool
+	// Place delivers every claimed reading once the request's own share is
+	// ingested, and merges the owners' outcomes into sum. An error fails
+	// the request with 503 + Retry-After: evidence that was not placed is
+	// never acknowledged.
+	Place(sum *BatchSummary) error
 }
 
 // ingestChunk bounds how many decoded readings accumulate before a
@@ -362,7 +456,7 @@ const ingestChunk = 256
 // response summary and the chunk buffers the batched submit path
 // flushes through.
 type ingestScratch struct {
-	resp  batchResponse
+	resp  BatchSummary
 	chunk []Reading
 	outs  []SubmitOutcome
 }
@@ -380,30 +474,8 @@ func (c *Collector) flushChunk(sc *ingestScratch) {
 		return
 	}
 	sc.outs = c.SubmitBatch(sc.chunk, sc.outs)
-	for i := range sc.outs {
-		switch o := &sc.outs[i]; {
-		case o.Err != nil:
-			sc.resp.Rejected++
-			if len(sc.resp.Errors) < 10 {
-				sc.resp.Errors = append(sc.resp.Errors, o.Err.Error())
-			}
-		case o.Duplicate:
-			sc.resp.Duplicates++
-		default:
-			sc.resp.Accepted++
-		}
-	}
+	sc.resp.add(sc.outs)
 	sc.chunk = sc.chunk[:0]
-}
-
-// decodeStatus maps a DecodeReadings error to its response code: 413
-// for a body over the cap, 400 for one that does not parse.
-func decodeStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
 }
 
 // serveReadings ingests the POST /api/readings body. DecodeReadings
@@ -414,34 +486,31 @@ func decodeStatus(err error) int {
 // once per reading. Each element is individually accepted, deduplicated
 // or rejected; a malformed element aborts with 400 mid-stream after the
 // decoded prefix is ingested, and the idempotency keys on that prefix
-// make the client's retry safe.
-func (c *Collector) serveReadings(w http.ResponseWriter, r *http.Request, now func() time.Time) {
+// make the client's retry safe. A non-nil route claims the elements
+// other collectors own and places them before the response.
+func (c *Collector) serveReadings(w http.ResponseWriter, r *http.Request, now func() time.Time, route ReadingRouter, retryAfter time.Duration) {
 	sc := ingestPool.Get().(*ingestScratch)
 	defer ingestPool.Put(sc)
-	sc.resp = batchResponse{Errors: sc.resp.Errors[:0]}
+	sc.resp = BatchSummary{Errors: sc.resp.Errors[:0]}
 	sc.chunk = sc.chunk[:0]
-	batch, err := c.DecodeReadings(r.Body, now, func(rd Reading, _ []byte) {
+	batch, err := c.DecodeReadings(r.Body, now, func(rd Reading, raw []byte) {
+		if route != nil && route.Claim(rd, raw) {
+			return
+		}
 		sc.chunk = append(sc.chunk, rd)
 		if len(sc.chunk) >= ingestChunk {
 			c.flushChunk(sc)
 		}
 	})
 	c.flushChunk(sc)
-	switch {
-	case err != nil:
-		http.Error(w, err.Error(), decodeStatus(err))
-	case batch:
-		// The summary lets a store-and-forward client ack its whole
-		// batch: duplicates were already delivered, rejections can never
-		// succeed.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		_ = json.NewEncoder(w).Encode(&sc.resp)
-	case sc.resp.Rejected > 0:
-		http.Error(w, sc.resp.Errors[0], http.StatusBadRequest)
-	default:
-		w.WriteHeader(http.StatusAccepted)
+	if err == nil && route != nil {
+		if err := route.Place(&sc.resp); err != nil {
+			obs.SetRetryAfter(w, retryAfter)
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
 	}
+	sc.resp.write(w, batch, err)
 }
 
 // Handler exposes the collector over HTTP:
@@ -455,6 +524,11 @@ func (c *Collector) serveReadings(w http.ResponseWriter, r *http.Request, now fu
 // headers are continued into server spans and per-route latency lands in
 // http_server_request_seconds (the /debug/slo input).
 func (c *Collector) Handler(now func() time.Time) http.Handler {
+	return c.RoutedHandler(now, Routing{})
+}
+
+// RoutedHandler is Handler with a ring member's routing hooks.
+func (c *Collector) RoutedHandler(now func() time.Time, rt Routing) http.Handler {
 	mw := obs.NewMiddleware("trust", c.Obs, c.Tracer)
 	mux := http.NewServeMux()
 	handle := func(route string, h http.HandlerFunc) {
@@ -488,16 +562,17 @@ func (c *Collector) Handler(now func() time.Time) http.Handler {
 			return
 		}
 		var req registerRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRegisterBody)).Decode(&req); err != nil {
+			http.Error(w, err.Error(), decodeStatus(err))
 			return
 		}
-		err := c.registerDurable(Node{
+		node := Node{
 			ID: NodeID(req.ID), Operator: req.Operator,
 			Lat: req.Lat, Lon: req.Lon,
 			ClaimedOutdoor: req.ClaimedOutdoor, Hardware: req.Hardware,
 			Registered: now(),
-		})
+		}
+		err := c.registerDurable(node)
 		if errors.Is(err, ErrStoreUnavailable) {
 			obs.SetRetryAfter(w, retryAfter)
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
@@ -507,7 +582,10 @@ func (c *Collector) Handler(now func() time.Time) http.Handler {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		c.metrics.setNodeScore(NodeID(req.ID), c.Ledger.Trust(NodeID(req.ID)))
+		c.metrics.setNodeScore(node.ID, c.Ledger.Trust(node.ID))
+		if rt.Enrolled != nil {
+			rt.Enrolled(node)
+		}
 		w.WriteHeader(http.StatusCreated)
 	})
 	handle("/api/readings", func(w http.ResponseWriter, r *http.Request) {
@@ -519,19 +597,31 @@ func (c *Collector) Handler(now func() time.Time) http.Handler {
 		if shed(w) {
 			return
 		}
-		c.serveReadings(w, r, now)
+		var route ReadingRouter
+		if rt.Readings != nil {
+			route = rt.Readings()
+		}
+		c.serveReadings(w, r, now, route, retryAfter)
 	})
 	handle("/api/fleet", func(w http.ResponseWriter, r *http.Request) {
 		c.metrics.recordRequest("fleet")
+		var elsewhere map[NodeID]time.Time
+		if rt.Freshness != nil {
+			elsewhere = rt.Freshness()
+		}
 		fleet := c.Fleet()
-		out := make([]fleetEntry, 0, len(fleet))
+		out := make([]FleetEntry, 0, len(fleet))
 		for _, n := range fleet {
-			out = append(out, fleetEntry{
+			last := n.LastReading
+			if at := elsewhere[n.Node]; at.After(last) {
+				last = at
+			}
+			out = append(out, FleetEntry{
 				Node:          string(n.Node),
 				Score:         float64(n.Score),
 				Rating:        n.Score.Quantize(),
 				RegisteredAt:  n.Registered,
-				LastReadingAt: n.LastReading,
+				LastReadingAt: last,
 			})
 		}
 		w.Header().Set("Content-Type", "application/json")

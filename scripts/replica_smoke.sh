@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # replica_smoke.sh — black-box proof of the multi-replica collector
-# tier: boot three spectrumd replicas as one ring, register through one
+# tier. First a plain spectrumd (no -ring, no secret) must be a ring of
+# one: itself the coordinator, ready at once, and every /replica/* call
+# refused. Then boot three spectrumd replicas as one ring, register through one
 # member, submit readings through the "wrong" members (forcing ring
 # forwarding), verify every replica serves the identical fleet view,
 # kill a non-coordinator and prove (a) submissions owned by the dead
@@ -22,6 +24,32 @@ RING="r1=http://$A1,r2=http://$A2,r3=http://$A3"
 export SENSORCAL_RING_SECRET=smoke-ring-secret
 
 build_cmds spectrumd
+
+# A plain daemon is a ring of one. With no secret configured the peer
+# protocol is closed to everyone, whatever credential a caller presents.
+A0=127.0.0.1:18200
+env -u SENSORCAL_RING_SECRET "$WORK/spectrumd" -addr "$A0" -epoch 1s \
+  >>"$OUT/spectrumd-plain.log" 2>&1 &
+PLAIN=$!
+wait_ready "$A0" "plain spectrumd"
+curl -fsS "http://$A0/api/ring" >"$OUT/ring-plain.json"
+python3 - "$OUT/ring-plain.json" <<'EOF'
+import json, sys
+ring = json.load(open(sys.argv[1]))
+assert len(ring["members"]) == 1, f"{len(ring['members'])} members, want 1"
+assert ring["self"] == ring["coordinator"], f"self {ring['self']} does not coordinate"
+assert ring["ready"], "ring of one not ready"
+EOF
+for auth in "" "$SENSORCAL_RING_SECRET"; do
+  code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$A0/replica/drain" \
+    -H "X-Sensorcal-Ring-Auth: $auth" -d '{"cutoff":"2030-01-01T00:00:00Z"}')
+  if [ "$code" != "403" ]; then
+    echo "FAIL: /replica/drain on a ring of one returned $code, want 403" >&2
+    exit 1
+  fi
+done
+kill "$PLAIN"; wait "$PLAIN" || true
+echo "OK: plain spectrumd is a ready ring of one and refuses the peer protocol"
 
 start_replica() { # id addr
   "$WORK/spectrumd" -addr "$2" -replica-id "$1" -ring "$RING" \
