@@ -94,8 +94,8 @@ type Tracer struct {
 	exporter  atomic.Pointer[SpanExporter]
 
 	idMu  sync.Mutex
-	idHi  uint64 // splitmix64 state for trace IDs
-	idLo  uint64 // splitmix64 state for span IDs
+	idHi  uint64        // splitmix64 state for trace IDs
+	idLo  uint64        // splitmix64 state for span IDs
 	ruses atomic.Uint64 // ring overwrites since construction
 
 	mu   sync.Mutex
@@ -554,32 +554,45 @@ func FormatTraceParent(sc SpanContext) string {
 	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-" + flags
 }
 
-// ParseTraceParent parses a traceparent value. Unknown versions are
-// accepted if the 00 layout parses (per spec); invalid IDs are rejected.
+// ParseTraceParent parses a traceparent value: exactly the 55 characters
+// of the version-00 layout, in lowercase hex, under any version but ff.
+// A value with more, with uppercase hex or with a zero ID is rejected.
 func ParseTraceParent(s string) (SpanContext, bool) {
 	var sc SpanContext
-	if len(s) < 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
-		return sc, false
-	}
-	if s[0] == 'f' && s[1] == 'f' { // version 0xff is forbidden
-		return sc, false
-	}
-	if _, err := hex.Decode(sc.TraceID[:], []byte(s[3:35])); err != nil {
-		return sc, false
-	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(s[36:52])); err != nil {
-		return sc, false
-	}
-	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(s[53:55])); err != nil {
-		return sc, false
+	var version, flags [1]byte
+	if len(s) != 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' ||
+		!lowerHex(version[:], s[:2]) || version[0] == 0xff ||
+		!lowerHex(sc.TraceID[:], s[3:35]) || !lowerHex(sc.SpanID[:], s[36:52]) || !lowerHex(flags[:], s[53:]) {
+		return SpanContext{}, false
 	}
 	sc.Sampled = flags[0]&0x01 != 0
-	if !sc.Valid() {
-		return sc, false
-	}
-	return sc, true
+	return sc, sc.Valid()
 }
+
+// lowerHex decodes the 2·len(dst) lowercase hex digits of src into dst,
+// or reports false.
+func lowerHex(dst []byte, src string) bool {
+	for i := range dst {
+		hi, lo := unhexLower[src[2*i]], unhexLower[src[2*i+1]]
+		if hi|lo > 0x0f {
+			return false
+		}
+		dst[i] = hi<<4 | lo
+	}
+	return true
+}
+
+// unhexLower maps a lowercase hex digit to its value and any other byte
+// to 0xff.
+var unhexLower = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for i, c := range "0123456789abcdef" {
+		t[c] = byte(i)
+	}
+	return t
+}()
 
 // TraceParent returns the current span's serialized context, or "" when
 // ctx carries no span — the form a trust.Reading carries so a spooled

@@ -57,6 +57,24 @@ type Server struct {
 	Obs *obs.Registry
 }
 
+// maxRequestBody caps a lease or completion request body.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes r's JSON body into v, or answers 413 for a body over
+// maxRequestBody and 400 for any other decode error and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), status)
+	return false
+}
+
 // Handler returns the /api/* mux. Every route runs under the RED
 // middleware: an agent's traceparent is continued into a server span, so
 // the lease that scheduled a measurement shows up in the same trace as
@@ -73,8 +91,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		var req leaseRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if req.Node == "" {
@@ -95,8 +112,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		var req completeRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		status, err := s.Q.Complete(req.TaskID, req.Token)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -180,5 +181,22 @@ func TestChaosSchedLeaseExpiryExactlyOnce(t *testing.T) {
 	t.Logf("chaos transport: %d requests, %d faults injected", requests, injected)
 	if injected == 0 {
 		t.Fatalf("chaos transport injected no faults — the test proved nothing")
+	}
+}
+
+// TestHTTPBodyCapIs413: a lease or completion body over the 1 MiB cap is
+// refused as too large, not cut off and reported as malformed.
+func TestHTTPBodyCapIs413(t *testing.T) {
+	srv := newTestServer(t, newTestQueue(clock.NewSimulated(time.Date(2026, 7, 8, 8, 0, 0, 0, time.UTC))))
+	for route, field := range map[string]string{"/api/lease": "node", "/api/complete": "task_id"} {
+		body := `{"` + field + `":"` + strings.Repeat("a", 2<<20) + `"}`
+		resp, err := http.Post(srv.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a 2 MiB body: status %d, want 413", route, resp.StatusCode)
+		}
 	}
 }

@@ -174,15 +174,16 @@ func (e *Engine) ProcessPower(jobs []Job) error {
 }
 
 // power converts one frame's spectrum into ascending-frequency linear
-// PSD bins. The expression structure must stay in lockstep with
-// SerialReference: bit-identity (after PowerToDBFS) is the contract.
+// PSD bins, the FFT's upper half (from −fs/2) first. The expression per
+// bin must stay in lockstep with SerialReference: bit-identity (after
+// PowerToDBFS) is the contract.
 func (e *Engine) power(bins []float64, spec []complex128, sampleRate float64) {
-	n := e.n
-	binWidth := sampleRate / float64(n)
-	for i := 0; i < n; i++ {
-		src := (i + n/2) % n // bin 0 of the output is −fs/2
-		re, im := real(spec[src]), imag(spec[src])
-		bins[i] = (re*re + im*im) / (e.gain * sampleRate) * binWidth
+	h, binWidth := e.n/2, sampleRate/float64(e.n)
+	for k, half := range [2][]complex128{spec[h:], spec[:h]} {
+		for i, s := range half {
+			re, im := real(s), imag(s)
+			bins[k*h+i] = (re*re + im*im) / (e.gain * sampleRate) * binWidth
+		}
 	}
 }
 

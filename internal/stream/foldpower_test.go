@@ -240,3 +240,174 @@ func FuzzFoldPower(f *testing.F) {
 		sameSurface(t, got, want)
 	})
 }
+
+// benchFrames returns count distinct bench-like frames (fleetFrame) as
+// Engine.ProcessPower's linear power, each with a centre that keeps the
+// frame inside the default grid's band.
+func benchFrames(tb testing.TB, count, n int) (power [][]float64, centres []float64) {
+	const rate = 2.4e6
+	eng, err := NewEngine(n, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	jobs := make([]Job, count)
+	rng := rand.New(rand.NewSource(34))
+	for i := range jobs {
+		jobs[i] = Job{IQ: fleetFrame(n, int64(i)), SampleRate: rate, Bins: make([]float64, n)}
+		power = append(power, jobs[i].Bins)
+		centres = append(centres, 470e6+rate/2+(228e6-rate)*rng.Float64())
+	}
+	if err := eng.ProcessPower(jobs); err != nil {
+		tb.Fatal(err)
+	}
+	return power, centres
+}
+
+// BenchmarkFoldPower cycles over 64 distinct bench-like frames, so the
+// branch predictor cannot learn one of them.
+func BenchmarkFoldPower(b *testing.B) {
+	power, centres := benchFrames(b, 64, 256)
+	g, _ := NewGrid(GridConfig{})
+	at := time.Date(2026, 10, 2, 12, 0, 0, 0, time.UTC)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(power)
+		if _, viaDB, err := g.FoldPower(power[k], centres[k], 2.4e6, at); err != nil || viaDB {
+			b.Fatalf("frame %d: viaDB %v, err %v", k, viaDB, err)
+		}
+	}
+}
+
+// TestFoldPowerFastPathAllocs pins the power path's allocation contract:
+// after warm-up, folding a bench-like frame allocates nothing.
+func TestFoldPowerFastPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates inside sync.Pool")
+	}
+	power, centres := benchFrames(t, 64, 256)
+	g, _ := NewGrid(GridConfig{})
+	at := time.Date(2026, 10, 2, 12, 0, 0, 0, time.UTC)
+	k := 0
+	fold := func() {
+		if _, viaDB, err := g.FoldPower(power[k], centres[k], 2.4e6, at); err != nil || viaDB {
+			t.Fatalf("frame %d: viaDB %v, err %v", k, viaDB, err)
+		}
+		k = (k + 1) % len(power)
+	}
+	fold()
+	if avg := testing.AllocsPerRun(200, fold); avg != 0 {
+		t.Fatalf("FoldPower allocates %.2f objects per frame on the power path, want 0", avg)
+	}
+}
+
+// TestRunsMatchBucketOf pins the per-frame bucket runs to the per-bin
+// definition: over random placements — frames across both band edges,
+// bands whose last bucket is narrower or whose tail no bucket covers,
+// rates from 1 kHz to 20 MHz, n from 2 to 1024 — the runs are exactly the
+// maximal stretches of bins bucketOf puts in one in-band bucket, and each
+// run's occupied count is its bins at or above the threshold.
+func TestRunsMatchBucketOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	bands := [][3]float64{{470e6, 698e6, 1e6}, {470e6, 698.4e6, 1e6}, {470e6, 698.6e6, 1e6}, {100e6, 100.5e6, 1e6}, {88e6, 108e6, 25e3}, {1e3, 2e3, 7}}
+	for trial := 0; trial < 5000; trial++ {
+		band := bands[rng.Intn(len(bands))]
+		g, err := NewGrid(GridConfig{LowHz: band[0], HighHz: band[1], BucketHz: band[2]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 2 + rng.Intn(1023)
+		rate := math.Pow(10, 3+rng.Float64()*(math.Log10(20e6)-3))
+		var centre float64
+		switch edge := band[rng.Intn(2)]; rng.Intn(3) {
+		case 0: // across a band edge
+			centre = edge + rate*(rng.Float64()-0.5)
+		case 1: // anywhere in or near the band
+			centre = band[0] - rate + (band[1]-band[0]+2*rate)*rng.Float64()
+		default: // a bucket edge inside the band
+			centre = band[0] + band[2]*float64(rng.Intn(g.buckets+1))
+		}
+		frameLo, binWidth, err := g.place(n, centre, rate)
+		if err != nil {
+			continue
+		}
+		power := make([]float64, n)
+		for i := range power {
+			power[i] = rng.Float64()
+		}
+		hi := rng.Float64()
+
+		var want []bucketRun
+		for i := 0; i < n; i++ {
+			b := g.bucketOf(frameLo, binWidth, i)
+			if b < 0 || b >= g.buckets {
+				continue
+			}
+			if len(want) == 0 || want[len(want)-1].b != b || want[len(want)-1].i1 != i {
+				want = append(want, bucketRun{b: b, i0: i, i1: i})
+			}
+			r := &want[len(want)-1]
+			r.i1++
+			if power[i] >= hi {
+				r.occ++
+			}
+		}
+		got, occupied := g.runs(nil, power, hi, frameLo, binWidth)
+		total := 0
+		for _, r := range want {
+			total += r.occ
+		}
+		if len(got) != len(want) || occupied != total {
+			t.Fatalf("trial %d (n=%d rate=%g centre=%g band=%v): runs %v (occupied %d), per-bin map %v (occupied %d)", trial, n, rate, centre, band, got, occupied, want, total)
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d (n=%d rate=%g centre=%g band=%v): run %d is %+v, per-bin map %+v", trial, n, rate, centre, band, k, got[k], want[k])
+			}
+		}
+	}
+}
+
+// TestFoldPowerGuardEdges pins the edges of the power path's own checks
+// on bench-like frames: a NaN bin hands the frame to Fold; so does a
+// second bin on either edge of the floor's guard band, and one ulp outside
+// that band it does not. Either way the surface is Fold's.
+func TestFoldPowerGuardEdges(t *testing.T) {
+	power, centres := benchFrames(t, 16, 256)
+	at := time.Date(2026, 10, 2, 12, 0, 0, 0, time.UTC)
+	got, _ := NewGrid(GridConfig{})
+	want, _ := NewGrid(GridConfig{})
+	for k, frame := range power {
+		floor, _ := thresholdOf(frame, 6)
+		lowest, highest := 0, 0
+		for i, p := range frame {
+			if p < frame[lowest] {
+				lowest = i
+			}
+			if p > frame[highest] {
+				highest = i
+			}
+		}
+		// Replacing the highest bin by one above the floor, or the lowest
+		// by one below it, leaves the floor where it was.
+		fl, fh := floor*(1-powerGuard), floor*(1+powerGuard)
+		for _, c := range []struct {
+			bin    int
+			value  float64
+			toFold bool
+		}{
+			{highest, math.NaN(), true},
+			{highest, fh, true},
+			{highest, math.Nextafter(fh, math.Inf(1)), false},
+			{lowest, fl, true},
+			{lowest, math.Nextafter(fl, 0), false},
+		} {
+			edited := append([]float64(nil), frame...)
+			edited[c.bin] = c.value
+			if viaDB := foldBoth(t, got, want, edited, centres[k], 2.4e6, at); viaDB != c.toFold {
+				t.Fatalf("frame %d, bin %d set to %v (floor %v): handed to Fold %v, want %v", k, c.bin, c.value, floor, viaDB, c.toFold)
+			}
+		}
+	}
+	sameSurface(t, got, want)
+}

@@ -126,17 +126,17 @@ func (g *Grid) place(n int, centerHz, sampleRate float64) (frameLo, binWidth flo
 }
 
 // bucketOf returns the frequency bucket bin i of a placed frame counts
-// in, or -1 for a bin outside the monitored band.
+// in: -1 below the monitored band and g.buckets above it, so that over a
+// frame's bins it is non-decreasing.
 func (g *Grid) bucketOf(frameLo, binWidth float64, i int) int {
 	hz := frameLo + (float64(i)+0.5)*binWidth
-	if hz < g.cfg.LowHz || hz >= g.cfg.HighHz {
+	if hz < g.cfg.LowHz {
 		return -1
 	}
-	b := int((hz - g.cfg.LowHz) / g.cfg.BucketHz)
-	if b < 0 || b >= g.buckets {
-		return -1
+	if hz >= g.cfg.HighHz {
+		return g.buckets
 	}
-	return b
+	return min(int((hz-g.cfg.LowHz)/g.cfg.BucketHz), g.buckets)
 }
 
 // lockSlot returns the ring slot of at, locked, reset in place if the
@@ -182,7 +182,7 @@ func (g *Grid) Fold(bins []float64, centerHz, sampleRate float64, at time.Time) 
 	occupied := 0
 	for i := 0; i < n; i++ {
 		b := g.bucketOf(frameLo, binWidth, i)
-		if b < 0 {
+		if b < 0 || b == g.buckets {
 			continue
 		}
 		sl.bins[b]++
@@ -201,24 +201,43 @@ func (g *Grid) Fold(bins []float64, centerHz, sampleRate float64, at time.Time) 
 // relative 3e-12 in power; the guard is three hundred times that.
 const powerGuard = 1e-9
 
-// bucketRun is one frame's contribution to one frequency bucket.
-type bucketRun struct {
-	b         int
-	bins, occ uint32
+// bucketRun is one frame's bins [i0, i1) in bucket b, occ of them occupied.
+type bucketRun struct{ b, i0, i1, occ int }
+
+// runs appends a placed frame's bucket runs to dst, counting each run's
+// bins at or above hi, and returns the total. bucketOf is non-decreasing
+// over the bins, so a run ends where a bisection of the bins after its
+// start says: log₂ n calls of it per bucket, not one per bin.
+func (g *Grid) runs(dst []bucketRun, power []float64, hi, frameLo, binWidth float64) ([]bucketRun, int) {
+	n, occupied := len(power), 0
+	for i := 0; i < n; {
+		b := g.bucketOf(frameLo, binWidth, i)
+		j := i + sort.Search(n-i, func(k int) bool { return g.bucketOf(frameLo, binWidth, i+k) != b })
+		if b >= 0 && b < g.buckets {
+			occ := 0
+			for _, p := range power[i:j] {
+				occ += b2i(p >= hi)
+			}
+			dst = append(dst, bucketRun{b, i, j, occ})
+			occupied += occ
+		}
+		i = j
+	}
+	return dst, occupied
 }
 
 // FoldPower is Fold for ascending-frequency linear power as
 // Engine.ProcessPower produces: it leaves the surface and returns the
 // fraction Fold does over the bins' dBFS image, without computing it.
 // The floor is the same order statistic (it commutes with a
-// non-decreasing map), the threshold is floor × 10^(MarginDB/10), and
-// verdicts and bucket indices are worked out before the slot mutex is
-// taken, which then covers one add per bucket the frame touches. A frame
-// the linear comparison cannot decide with powerGuard to spare — a bin
-// inside the guard band, a second bin that close to the floor, a floor
-// that is zero, subnormal or too large to scale, a NaN — is converted
-// and handed to Fold, and viaDB reports it. The path depends on the
-// frame's bins alone. DESIGN §15 "Fold in the power domain".
+// non-decreasing map) and the threshold is floor × 10^(MarginDB/10).
+// One pass over every bin counts the bins the linear comparison cannot
+// decide with powerGuard to spare and those that close to the floor, one
+// per bucket run counts its occupied bins, neither branches on a bin, and
+// the slot mutex covers one add per run. A frame with an undecided bin
+// (a NaN among them), a second bin at the floor, or a floor that is zero,
+// subnormal or too large to scale is handed to Fold as dBFS, and viaDB
+// reports it. The path depends on the frame's bins alone. DESIGN §15.
 func (g *Grid) FoldPower(power []float64, centerHz, sampleRate float64, at time.Time) (frac float64, viaDB bool, err error) {
 	n := len(power)
 	frameLo, binWidth, err := g.place(n, centerHz, sampleRate)
@@ -228,36 +247,17 @@ func (g *Grid) FoldPower(power []float64, centerHz, sampleRate float64, at time.
 	floor := spectrum.NoiseFloorOf(power, 0.25)
 	hi := floor * g.marginRatio * (1 + powerGuard)
 	lo := floor * g.marginRatio * (1 - powerGuard)
-	floorHi, floorLo := floor*(1+powerGuard), floor*(1-powerGuard)
-	decided := floor >= 0x1p-1022 && !math.IsInf(hi, 1)
-
-	var few [8]bucketRun // a 2.4 MHz frame over 1 MHz buckets touches 3 or 4
-	runs := few[:0]
-	occupied, atFloor := 0, 0
-	for i := 0; decided && i < n; i++ {
-		p := power[i]
-		occ := p >= hi
-		if !occ && !(p < lo) {
-			decided = false
-		}
-		if p >= floorLo && p <= floorHi {
-			atFloor++
-		}
-		b := g.bucketOf(frameLo, binWidth, i)
-		if b < 0 {
-			continue
-		}
-		if len(runs) == 0 || runs[len(runs)-1].b != b {
-			runs = append(runs, bucketRun{b: b})
-		}
-		r := &runs[len(runs)-1]
-		r.bins++
-		if occ {
-			r.occ++
-			occupied++
+	und, atFloor := 0, 0
+	if floor >= 0x1p-1022 && !math.IsInf(hi, 1) {
+		// Bits order like values on [fl, +Inf); other patterns wrap past span.
+		fl := math.Float64bits(floor * (1 - powerGuard))
+		span := math.Float64bits(floor*(1+powerGuard)) - fl
+		for _, p := range power {
+			und += b2i(!(p < lo)) - b2i(p >= hi) // a NaN counts
+			atFloor += b2i(math.Float64bits(p)-fl <= span)
 		}
 	}
-	if !decided || atFloor != 1 {
+	if und != 0 || atFloor != 1 {
 		db := dsp.GetFloat(n)
 		defer dsp.PutFloat(db)
 		powerToDBFS(db, power)
@@ -265,14 +265,23 @@ func (g *Grid) FoldPower(power []float64, centerHz, sampleRate float64, at time.
 		return frac, true, err
 	}
 
+	var few [8]bucketRun // a 2.4 MHz frame over 1 MHz buckets touches 3 or 4
+	runs, occupied := g.runs(few[:0], power, hi, frameLo, binWidth)
 	sl := g.lockSlot(at)
 	defer sl.mu.Unlock()
 	sl.frames++
 	for _, r := range runs {
-		sl.bins[r.b] += r.bins
-		sl.occ[r.b] += r.occ
+		sl.bins[r.b] += uint32(r.i1 - r.i0)
+		sl.occ[r.b] += uint32(r.occ)
 	}
 	return float64(occupied) / float64(n), false, nil
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // SlotOccupancy is one time slot of one band query.
