@@ -20,7 +20,7 @@ type SpanExporter struct {
 	path    string
 	maxSize int64
 
-	queue chan SpanRecord
+	queue chan spanRec
 	stop  chan struct{}
 	done  chan struct{}
 
@@ -67,7 +67,7 @@ func NewSpanExporter(cfg ExporterConfig) (*SpanExporter, error) {
 	e := &SpanExporter{
 		path:    cfg.Path,
 		maxSize: cfg.MaxSizeBytes,
-		queue:   make(chan SpanRecord, cfg.QueueSize),
+		queue:   make(chan spanRec, cfg.QueueSize),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		f:       f,
@@ -78,11 +78,12 @@ func NewSpanExporter(cfg ExporterConfig) (*SpanExporter, error) {
 	return e, nil
 }
 
-// export offers one span to the writer without blocking. t supplies the
-// drop accounting. The queue is never closed (recording goroutines may
+// export offers one span to the writer without blocking; the writer
+// formats it, off the recording goroutine. t supplies the drop
+// accounting. The queue is never closed (recording goroutines may
 // race Close), only abandoned: post-Close sends land in the buffer and
 // are garbage-collected with it.
-func (e *SpanExporter) export(t *Tracer, rec SpanRecord) {
+func (e *SpanExporter) export(t *Tracer, rec spanRec) {
 	select {
 	case <-e.stop:
 		return
@@ -125,8 +126,8 @@ func (e *SpanExporter) run() {
 
 // write appends one span, rotating (truncate-and-restart, the bounded
 // alternative to unbounded telemetry growth) when the cap is hit.
-func (e *SpanExporter) write(rec SpanRecord) {
-	line, err := json.Marshal(rec)
+func (e *SpanExporter) write(rec spanRec) {
+	line, err := json.Marshal(rec.spanRecord())
 	if err != nil {
 		return
 	}

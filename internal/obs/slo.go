@@ -23,7 +23,7 @@ import (
 // slow window (default 1 h) confirms sustained ones; alerting on the
 // conjunction suppresses blips. The registry's counters are cumulative,
 // so the evaluator keeps a ring of periodic snapshots and differences
-// them — sample-on-scrape, no background goroutine unless Run is used.
+// them, sampling on scrape with no background goroutine.
 
 // SLOConfig assembles an SLO evaluator.
 type SLOConfig struct {
@@ -124,9 +124,9 @@ func NewSLO(cfg SLOConfig) *SLO {
 // must not page the service owner.
 func isErrorCode(code string) bool { return code == "5xx" || code == "error" }
 
-// Sample snapshots the histogram's cumulative per-route totals. Call it
-// periodically (Run) or on scrape (Handler); snapshots older than the
-// slow window are discarded.
+// Sample snapshots the histogram's cumulative per-route totals. Handler
+// calls it on every scrape; snapshots older than the slow window are
+// discarded.
 func (s *SLO) Sample() {
 	labels, values := s.reg.Samples(s.metric)
 	codeIdx := -1
@@ -240,20 +240,4 @@ func (s *SLO) Handler() http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(s.Report())
 	})
-}
-
-// Run samples every interval until ctx is done — for daemons that want
-// window arithmetic to hold even when nobody scrapes.
-func (s *SLO) Run(done <-chan struct{}, interval time.Duration) {
-	if interval <= 0 {
-		interval = 15 * time.Second
-	}
-	for {
-		select {
-		case <-done:
-			return
-		case <-s.clk.After(interval):
-			s.Sample()
-		}
-	}
 }

@@ -66,7 +66,8 @@ type SpanEvent struct {
 	Attr string    `json:"attr,omitempty"`
 }
 
-// SpanRecord is one finished span.
+// SpanRecord is one finished span, as /debug/traces and the exporter
+// serve it.
 type SpanRecord struct {
 	TraceID  string            `json:"trace_id"`
 	SpanID   string            `json:"span_id"`
@@ -77,6 +78,70 @@ type SpanRecord struct {
 	Error    string            `json:"error,omitempty"`
 	Attrs    map[string]string `json:"attrs,omitempty"`
 	Events   []SpanEvent       `json:"events,omitempty"`
+}
+
+// inlineAttrs is how many attributes a span holds without a map: the
+// four an HTTP span sets, and the two or three of a per-reading ingest
+// span.
+const inlineAttrs = 4
+
+// spanRec is a span as it is recorded and as the ring keeps it: IDs in
+// binary and the first attributes inline, so recording a span formats
+// and allocates nothing. SpanRecord is built from it only when the ring
+// is read or the exporter writes it.
+type spanRec struct {
+	traceID  TraceID
+	spanID   SpanID
+	parentID SpanID // zero for a root span
+	name     string
+	start    time.Time
+	duration time.Duration
+	err      string
+	nattrs   int
+	attrs    [inlineAttrs][2]string // key, value
+	more     map[string]string      // attributes past the inline ones
+	events   []SpanEvent
+}
+
+// setAttr sets key to value; a repeated key keeps its last value.
+func (r *spanRec) setAttr(key, value string) {
+	for i := range r.attrs[:r.nattrs] {
+		if r.attrs[i][0] == key {
+			r.attrs[i][1] = value
+			return
+		}
+	}
+	if r.nattrs < inlineAttrs {
+		r.attrs[r.nattrs] = [2]string{key, value}
+		r.nattrs++
+		return
+	}
+	if r.more == nil {
+		r.more = make(map[string]string, 4)
+	}
+	r.more[key] = value
+}
+
+// spanRecord formats r as the exported SpanRecord.
+func (r *spanRec) spanRecord() SpanRecord {
+	out := SpanRecord{
+		TraceID: r.traceID.String(), SpanID: r.spanID.String(),
+		Name: r.name, Start: r.start, Duration: r.duration,
+		Error: r.err, Events: r.events,
+	}
+	if !r.parentID.IsZero() {
+		out.ParentID = r.parentID.String()
+	}
+	if r.nattrs > 0 {
+		out.Attrs = make(map[string]string, r.nattrs+len(r.more))
+		for _, kv := range r.attrs[:r.nattrs] {
+			out.Attrs[kv[0]] = kv[1]
+		}
+		for k, v := range r.more {
+			out.Attrs[k] = v
+		}
+	}
+	return out
 }
 
 // tracerMetrics is the opt-in instrumentation (Instrument pattern shared
@@ -99,7 +164,7 @@ type Tracer struct {
 	ruses atomic.Uint64 // ring overwrites since construction
 
 	mu   sync.Mutex
-	ring []SpanRecord
+	ring []spanRec
 	next int
 	full bool
 
@@ -116,7 +181,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	t := &Tracer{ring: make([]SpanRecord, capacity)}
+	t := &Tracer{ring: make([]spanRec, capacity)}
 	t.threshold.Store(math.MaxUint64)
 	var seed [16]byte
 	if _, err := rand.Read(seed[:]); err != nil {
@@ -183,7 +248,7 @@ func (t *Tracer) Resize(capacity int) {
 		capacity = DefaultTraceCapacity
 	}
 	t.mu.Lock()
-	t.ring = make([]SpanRecord, capacity)
+	t.ring = make([]spanRec, capacity)
 	t.next = 0
 	t.full = false
 	t.mu.Unlock()
@@ -268,7 +333,7 @@ type Span struct {
 	ended   atomic.Bool
 
 	mu  sync.Mutex
-	rec SpanRecord
+	rec spanRec // IDs are filled in from sc at End
 }
 
 type ctxKey int
@@ -330,12 +395,12 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		parent := ctx.Value(spanKey).(*Span)
 		s.sc.TraceID = parent.sc.TraceID
 		s.sampled = parent.sampled
-		s.rec.ParentID = parent.sc.SpanID.String()
+		s.rec.parentID = parent.sc.SpanID
 	default:
 		if rsc, ok := ctx.Value(remoteKey).(SpanContext); ok && rsc.Valid() {
 			s.sc.TraceID = rsc.TraceID
 			s.sampled = rsc.Sampled
-			s.rec.ParentID = rsc.SpanID.String()
+			s.rec.parentID = rsc.SpanID
 		} else {
 			s.sc.TraceID = t.newTraceID()
 			s.sampled = t.sampled(s.sc.TraceID)
@@ -343,10 +408,8 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	}
 	s.sc.SpanID = t.newSpanID()
 	s.sc.Sampled = s.sampled
-	s.rec.TraceID = s.sc.TraceID.String()
-	s.rec.SpanID = s.sc.SpanID.String()
-	s.rec.Name = name
-	s.rec.Start = t.now()
+	s.rec.name = name
+	s.rec.start = t.now()
 	return context.WithValue(ctx, spanKey, s), s
 }
 
@@ -364,10 +427,8 @@ func StartRootSpan(ctx context.Context, name string) (context.Context, *Span) {
 	s.sampled = t.sampled(s.sc.TraceID)
 	s.sc.SpanID = t.newSpanID()
 	s.sc.Sampled = s.sampled
-	s.rec.TraceID = s.sc.TraceID.String()
-	s.rec.SpanID = s.sc.SpanID.String()
-	s.rec.Name = name
-	s.rec.Start = t.now()
+	s.rec.name = name
+	s.rec.start = t.now()
 	return context.WithValue(ctx, spanKey, s), s
 }
 
@@ -381,11 +442,9 @@ func (t *Tracer) StartRemote(parent SpanContext, name string) *Span {
 	}
 	s := &Span{tracer: t, sampled: true}
 	s.sc = SpanContext{TraceID: parent.TraceID, SpanID: t.newSpanID(), Sampled: true}
-	s.rec.TraceID = s.sc.TraceID.String()
-	s.rec.SpanID = s.sc.SpanID.String()
-	s.rec.ParentID = parent.SpanID.String()
-	s.rec.Name = name
-	s.rec.Start = t.now()
+	s.rec.parentID = parent.SpanID
+	s.rec.name = name
+	s.rec.start = t.now()
 	return s
 }
 
@@ -404,10 +463,7 @@ func (s *Span) SetAttr(key, value string) {
 		return
 	}
 	s.mu.Lock()
-	if s.rec.Attrs == nil {
-		s.rec.Attrs = make(map[string]string, 4)
-	}
-	s.rec.Attrs[key] = value
+	s.rec.setAttr(key, value)
 	s.mu.Unlock()
 }
 
@@ -417,7 +473,7 @@ func (s *Span) SetError(err error) {
 		return
 	}
 	s.mu.Lock()
-	s.rec.Error = err.Error()
+	s.rec.err = err.Error()
 	s.mu.Unlock()
 }
 
@@ -444,7 +500,7 @@ func (s *Span) Event(name string, kv ...interface{}) {
 	}
 	at := s.tracer.now()
 	s.mu.Lock()
-	s.rec.Events = append(s.rec.Events, SpanEvent{At: at, Name: name, Attr: attr})
+	s.rec.events = append(s.rec.events, SpanEvent{At: at, Name: name, Attr: attr})
 	s.mu.Unlock()
 }
 
@@ -459,17 +515,17 @@ func (s *Span) End() {
 	}
 	t := s.tracer
 	s.mu.Lock()
-	s.rec.Duration = t.now().Sub(s.rec.Start)
-	rec := s.rec
+	s.rec.traceID, s.rec.spanID = s.sc.TraceID, s.sc.SpanID
+	s.rec.duration = t.now().Sub(s.rec.start)
+	t.record(&s.rec)
 	s.mu.Unlock()
-	t.record(rec)
 }
 
-// record lands one finished span in the ring, counting evictions.
-func (t *Tracer) record(rec SpanRecord) {
+// record copies one finished span into the ring, counting evictions.
+func (t *Tracer) record(rec *spanRec) {
 	t.mu.Lock()
-	evicted := t.full || t.next < len(t.ring) && t.ring[t.next].SpanID != ""
-	t.ring[t.next] = rec
+	evicted := t.full || t.next < len(t.ring) && !t.ring[t.next].spanID.IsZero()
+	t.ring[t.next] = *rec
 	t.next++
 	if t.next == len(t.ring) {
 		t.next = 0
@@ -484,29 +540,45 @@ func (t *Tracer) record(rec SpanRecord) {
 		m.recorded.Inc()
 	}
 	if e := t.exporter.Load(); e != nil {
-		e.export(t, rec)
+		e.export(t, *rec)
 	}
 }
 
 // Snapshot returns the retained spans, oldest first.
 func (t *Tracer) Snapshot() []SpanRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []SpanRecord
-	if t.full {
-		out = append(out, t.ring[t.next:]...)
-	}
-	out = append(out, t.ring[:t.next]...)
-	return out
+	return t.retained(func(*spanRec) bool { return true })
 }
 
-// Trace returns the retained spans of one trace (hex ID), oldest first.
+// Trace returns the retained spans of one trace (32 lowercase hex
+// digits), oldest first.
 func (t *Tracer) Trace(traceID string) []SpanRecord {
-	var out []SpanRecord
-	for _, rec := range t.Snapshot() {
-		if rec.TraceID == traceID {
-			out = append(out, rec)
+	var id TraceID
+	if len(traceID) != 2*len(id) || !lowerHex(id[:], traceID) {
+		return nil
+	}
+	return t.retained(func(r *spanRec) bool { return r.traceID == id })
+}
+
+// retained formats the retained spans keep accepts, oldest first. The
+// ring lock is held only to copy them out.
+func (t *Tracer) retained(keep func(*spanRec) bool) []SpanRecord {
+	t.mu.Lock()
+	var older []spanRec
+	if t.full {
+		older = t.ring[t.next:]
+	}
+	var recs []spanRec
+	for _, part := range [2][]spanRec{older, t.ring[:t.next]} {
+		for i := range part {
+			if keep(&part[i]) {
+				recs = append(recs, part[i])
+			}
 		}
+	}
+	t.mu.Unlock()
+	var out []SpanRecord
+	for i := range recs {
+		out = append(out, recs[i].spanRecord())
 	}
 	return out
 }

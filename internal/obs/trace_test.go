@@ -1,15 +1,18 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -390,7 +393,7 @@ func TestSpanExporterOverflowCounted(t *testing.T) {
 	// Stall the writer: it needs exp.mu to write, so holding the lock
 	// pins it mid-drain and makes the 1-slot queue overflow deterministic.
 	exp.mu.Lock()
-	exp.export(tr, SpanRecord{Name: "being-written"})
+	exp.export(tr, spanRec{name: "being-written"})
 	deadline := time.Now().Add(5 * time.Second)
 	for len(exp.queue) != 0 { // writer has dequeued it and is blocked on mu
 		if time.Now().After(deadline) {
@@ -399,8 +402,8 @@ func TestSpanExporterOverflowCounted(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	exp.export(tr, SpanRecord{Name: "queued"})  // fills the 1-slot queue
-	exp.export(tr, SpanRecord{Name: "dropped"}) // queue full: must drop, not block
+	exp.export(tr, spanRec{name: "queued"})  // fills the 1-slot queue
+	exp.export(tr, spanRec{name: "dropped"}) // queue full: must drop, not block
 	exp.mu.Unlock()
 	if err := exp.Close(); err != nil {
 		t.Fatal(err)
@@ -414,5 +417,342 @@ func TestSpanExporterOverflowCounted(t *testing.T) {
 	}
 	if dropped != 1 {
 		t.Fatalf("trace_spans_dropped_total{export_queue} = %v, want 1", dropped)
+	}
+}
+
+// spanOp is one step of a seeded span workload.
+type spanOp struct {
+	kind     int
+	target   int         // the span the op acts on or starts under
+	remote   SpanContext // parent for opUnderRemote and opRemote
+	key, val string
+	err      string
+	kv       []interface{}
+	step     time.Duration
+}
+
+const (
+	opStart       = iota // StartSpan on a context holding only the tracer
+	opChild              // StartSpan under span target
+	opUnderRemote        // StartSpan under ContextWithRemote(remote)
+	opRoot               // StartRootSpan under span target
+	opRemote             // Tracer.StartRemote(remote)
+	opAttr
+	opError
+	opEvent
+	opEnd
+	opAdvance
+)
+
+// spanOpWeights sets how often each kind is drawn.
+var spanOpWeights = [...]int{opStart: 2, opChild: 2, opUnderRemote: 1, opRoot: 1, opRemote: 3,
+	opAttr: 30, opError: 2, opEvent: 3, opEnd: 4, opAdvance: 2}
+
+// remoteTraces is the small pool remote parents draw trace IDs from, so
+// one ?trace_id= lookup finds several spans.
+var remoteTraces = [3]TraceID{{0xaa, 1}, {0xbb, 2}, {0xcc, 3}}
+
+// genSpanOps draws n ops, then ends every span. Seven attribute keys
+// over four inline slots repeat and spill; ends land on ended spans,
+// SetAttr on ended and unsampled ones; a ratio-0.5 tracer leaves roots
+// unsampled.
+func genSpanOps(seed int64, n int) []spanOp {
+	rng := rand.New(rand.NewSource(seed))
+	total := 0
+	for _, w := range spanOpWeights {
+		total += w
+	}
+	var ops []spanOp
+	spans := 0
+	for len(ops) < n {
+		op := spanOp{kind: opStart}
+		for x := rng.Intn(total); x >= spanOpWeights[op.kind]; op.kind++ {
+			x -= spanOpWeights[op.kind]
+		}
+		if spans == 0 && op.kind != opUnderRemote && op.kind != opRemote {
+			op.kind = opStart
+		}
+		if spans > 0 { // mostly one of the last few spans, so some gather many attributes
+			op.target = spans - 1 - rng.Intn(min(spans, 3))
+			if rng.Intn(8) == 0 {
+				op.target = rng.Intn(spans)
+			}
+		}
+		if rng.Intn(8) > 0 {
+			op.remote.TraceID = remoteTraces[rng.Intn(len(remoteTraces))]
+			rng.Read(op.remote.SpanID[:])
+			op.remote.Sampled = rng.Intn(4) > 0
+		}
+		op.key = string(rune('a' + rng.Intn(7)))
+		op.val = fmt.Sprint(rng.Intn(100))
+		if rng.Intn(4) > 0 {
+			op.err = fmt.Sprintf("err-%d", rng.Intn(10))
+		}
+		switch rng.Intn(4) {
+		case 1:
+			op.kv = []interface{}{"attempt", rng.Intn(5)}
+		case 2:
+			op.kv = []interface{}{"op", "drain", "odd"}
+		}
+		op.step = time.Duration(rng.Intn(5000)) * time.Microsecond
+		if op.kind <= opRemote {
+			spans++
+		}
+		ops = append(ops, op)
+	}
+	for i := 0; i < spans; i++ { // every span ends at last, some twice
+		ops = append(ops, spanOp{kind: opEnd, target: i})
+	}
+	return ops
+}
+
+// spanAPI is the surface the workload drives: trace.go or the oracle.
+type spanAPI struct {
+	start     func(ctx context.Context, name string) (context.Context, spanHandle)
+	startRoot func(ctx context.Context, name string) (context.Context, spanHandle)
+	remote    func(sc SpanContext, name string) spanHandle
+}
+
+type spanHandle interface {
+	SetAttr(key, value string)
+	SetError(err error)
+	Event(name string, kv ...interface{})
+	End()
+}
+
+func driveSpans(ops []spanOp, base context.Context, clk *clock.Simulated, api spanAPI) {
+	var ctxs []context.Context
+	var spans []spanHandle
+	push := func(ctx context.Context, s spanHandle) {
+		ctxs = append(ctxs, ctx)
+		spans = append(spans, s)
+	}
+	for i, op := range ops {
+		name := fmt.Sprintf("op-%d", i)
+		switch op.kind {
+		case opStart:
+			push(api.start(base, name))
+		case opChild:
+			push(api.start(ctxs[op.target], name))
+		case opUnderRemote:
+			push(api.start(ContextWithRemote(base, op.remote), name))
+		case opRoot:
+			push(api.startRoot(ctxs[op.target], name))
+		case opRemote:
+			push(base, api.remote(op.remote, name))
+		case opAttr:
+			spans[op.target].SetAttr(op.key, op.val)
+		case opError:
+			var err error
+			if op.err != "" {
+				err = errors.New(op.err)
+			}
+			spans[op.target].SetError(err)
+		case opEvent:
+			spans[op.target].Event(op.key, op.kv...)
+		case opEnd:
+			spans[op.target].End()
+		case opAdvance:
+			clk.Advance(op.step)
+		}
+	}
+}
+
+// seededTracer returns a ratio-0.5 tracer on a simulated clock whose
+// IDs are a fixed stream, instrumented on its own registry.
+func seededTracer(capacity int) (*Tracer, *clock.Simulated, *Registry) {
+	reg := NewRegistry()
+	tr := NewTracer(capacity).Instrument(reg)
+	tr.idHi, tr.idLo = 0x5eed, 0xfeed
+	clk := clock.NewSimulated(time.Unix(1700000000, 0))
+	tr.SetClock(clk)
+	tr.SetSampleRatio(0.5)
+	return tr, clk, reg
+}
+
+// spanOutputs is what a reader sees: /debug/traces for each query, the
+// span counters and the overwrite count.
+func spanOutputs(t *testing.T, h http.Handler, reg *Registry, tr *Tracer, queries []string) []string {
+	t.Helper()
+	var out []string
+	for _, q := range queries {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces"+q, nil))
+		out = append(out, rec.Body.String())
+	}
+	for _, name := range []string{"trace_spans_recorded_total", "trace_spans_dropped_total"} {
+		_, vals := reg.Samples(name)
+		out = append(out, fmt.Sprint(vals))
+	}
+	return append(out, fmt.Sprint(tr.Overwrites()))
+}
+
+// TestSpanRecordingMatchesOracle drives trace.go and the pre-binary span
+// bodies through the same seeded workloads and requires byte-identical
+// /debug/traces answers, exporter lines and drop counts.
+func TestSpanRecordingMatchesOracle(t *testing.T) {
+	const capacity = 16
+	for seed := int64(1); seed <= 12; seed++ {
+		ops := genSpanOps(seed, 2000)
+
+		tr, clk, reg := seededTracer(capacity)
+		path := filepath.Join(t.TempDir(), "spans.jsonl")
+		exp, err := NewSpanExporter(ExporterConfig{Path: path, QueueSize: len(ops)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.SetExporter(exp)
+		driveSpans(ops, WithTracer(context.Background(), tr), clk, spanAPI{
+			start: func(ctx context.Context, name string) (context.Context, spanHandle) {
+				return StartSpan(ctx, name)
+			},
+			startRoot: func(ctx context.Context, name string) (context.Context, spanHandle) {
+				return StartRootSpan(ctx, name)
+			},
+			remote: func(sc SpanContext, name string) spanHandle { return tr.StartRemote(sc, name) },
+		})
+		if err := exp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		exported, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		otr, oclk, oreg := seededTracer(capacity)
+		ot := newOracleTracer(otr, capacity)
+		driveSpans(ops, context.Background(), oclk, spanAPI{
+			start: func(ctx context.Context, name string) (context.Context, spanHandle) {
+				return oracleStartSpan(ctx, ot, name)
+			},
+			startRoot: func(ctx context.Context, name string) (context.Context, spanHandle) {
+				return oracleStartRootSpan(ctx, ot, name)
+			},
+			remote: func(sc SpanContext, name string) spanHandle { return ot.StartRemote(sc, name) },
+		})
+
+		// The workload has to reach what the comparison is about.
+		var spilled, failed, annotated bool
+		for _, line := range bytes.Split(bytes.TrimSpace(ot.lines), []byte("\n")) {
+			var rec SpanRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatal(err)
+			}
+			spilled = spilled || len(rec.Attrs) > inlineAttrs
+			failed = failed || rec.Error != ""
+			annotated = annotated || len(rec.Events) > 0
+		}
+		if !spilled || !failed || !annotated || ot.Overwrites() == 0 || len(ot.lines) == 0 {
+			t.Fatalf("seed %d: workload too thin (spilled %v, error %v, events %v, overwrites %d)",
+				seed, spilled, failed, annotated, ot.Overwrites())
+		}
+
+		queries := []string{"", "?trace_id=zz", "?trace_id=" + strings.Repeat("a", 31)}
+		for _, id := range remoteTraces {
+			queries = append(queries, "?trace_id="+id.String(), "?trace_id="+strings.ToUpper(id.String()))
+		}
+		for _, rec := range ot.Snapshot() {
+			queries = append(queries, "?trace_id="+rec.TraceID)
+		}
+		got := spanOutputs(t, tr.Handler(), reg, tr, queries)
+		oracle := spanOutputs(t, ot.Handler(), oreg, otr, queries)
+		for i := range got {
+			if got[i] != oracle[i] {
+				q := "counters"
+				if i < len(queries) {
+					q = "/debug/traces" + queries[i]
+				}
+				t.Fatalf("seed %d, %s:\n got    %s\n oracle %s", seed, q, got[i], oracle[i])
+			}
+		}
+		if !bytes.Equal(exported, ot.lines) {
+			t.Fatalf("seed %d: exporter lines differ:\n got    %s\n oracle %s", seed, exported, ot.lines)
+		}
+	}
+}
+
+// TestConcurrentSpansAndReaders records spans, spilled attributes
+// included, from several goroutines into a small exported ring while
+// others read it; the race detector is the assertion.
+func TestConcurrentSpansAndReaders(t *testing.T) {
+	exp, err := NewSpanExporter(ExporterConfig{Path: filepath.Join(t.TempDir(), "s.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	tr := NewTracer(32).Instrument(NewRegistry())
+	tr.SetExporter(exp)
+	parent, _ := ParseTraceParent("00-" + strings.Repeat("c", 32) + "-" + strings.Repeat("d", 16) + "-01")
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				s := tr.StartRemote(parent, "ingest")
+				for k := 0; k < i%(inlineAttrs+3); k++ {
+					s.SetAttr(fmt.Sprint("k", k), "v")
+				}
+				s.End()
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				tr.Snapshot()
+				tr.Trace(parent.TraceID.String())
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(tr.Trace(parent.TraceID.String())); got != 32 {
+		t.Fatalf("full ring holds %d spans of the trace, want 32", got)
+	}
+}
+
+// TestSampledSpanAllocs pins what a span costs: a sampled remote span
+// with two attributes allocates the Span and nothing else, and an
+// unsampled StartSpan allocates the Span and the context carrying it,
+// with no hex-encoded ID (each would add one).
+func TestSampledSpanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	tr := NewTracer(64)
+	parent, _ := ParseTraceParent("00-" + strings.Repeat("c", 32) + "-" + strings.Repeat("d", 16) + "-01")
+	if avg := testing.AllocsPerRun(200, func() { ingestSpan(tr, parent) }); avg > 1 {
+		t.Fatalf("sampled remote span allocates %.1f objects, want <= 1", avg)
+	}
+	if got := len(tr.Snapshot()); got != 64 {
+		t.Fatalf("ring holds %d spans, want a full 64", got)
+	}
+
+	tr.SetSampleRatio(0)
+	ctx := WithTracer(context.Background(), tr)
+	if avg := testing.AllocsPerRun(200, func() {
+		_, s := StartSpan(ctx, "unsampled")
+		s.End()
+	}); avg > 2 {
+		t.Fatalf("unsampled span allocates %.1f objects, want <= 2 (the Span and its context)", avg)
+	}
+}
+
+// ingestSpan is the collector's per-reading span.
+func ingestSpan(tr *Tracer, parent SpanContext) {
+	s := tr.StartRemote(parent, "trust.ingest")
+	s.SetAttr("node", "node-1")
+	s.SetAttr("signal", "tv-521MHz")
+	s.End()
+}
+
+func BenchmarkIngestSpan(b *testing.B) {
+	tr := NewTracer(DefaultTraceCapacity)
+	parent, _ := ParseTraceParent("00-" + strings.Repeat("c", 32) + "-" + strings.Repeat("d", 16) + "-01")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ingestSpan(tr, parent)
 	}
 }

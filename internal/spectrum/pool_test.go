@@ -77,8 +77,10 @@ func TestAnalyzeIntoSteadyStateAllocs(t *testing.T) {
 	work() // warm caches and pools
 	avg := testing.AllocsPerRun(50, work)
 	// ChannelOccupancy still allocates its (tiny) report slice; anything
-	// beyond a couple of allocations means a pooled path regressed.
-	if avg > 3 {
+	// beyond a couple of allocations means a pooled path regressed. Under
+	// the race detector sync.Pool drops items at random, so the count is
+	// noise there; the plain run checks the bound.
+	if avg > 3 && !raceEnabled {
 		t.Fatalf("steady-state scan allocates %.1f objects/frame, want <= 3", avg)
 	}
 	if len(reports) != 1 || !reports[0].Occupied {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/cmplx"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -18,10 +20,13 @@ import (
 // parses (accepted + shed == len(frames)), and every IQ slice decodeIQ
 // drew from the pool has gone back by the time the service has drained —
 // from the handler for a frame shed at the door, from the dispatcher for
-// one accepted.
+// one accepted. No slice comes back holding a NaN or ±Inf sample, so no
+// accepted frame carried one.
 func FuzzFramesBody(f *testing.F) {
 	const n = 4
 	good := EncodeIQ(randFrame(n, 1))
+	nan := EncodeIQ([]complex128{1, complex(0, math.NaN()), 1, 1})
+	inf := EncodeIQ([]complex128{1, 1, complex(math.Inf(-1), 0), 1})
 	frame := func(sensor, centre, rate, b64 string) string {
 		return fmt.Sprintf(`{"sensor":%q,"center_hz":%s,"sample_rate":%s,"iq_b64":%q}`, sensor, centre, rate, b64)
 	}
@@ -32,13 +37,24 @@ func FuzzFramesBody(f *testing.F) {
 		`{"frames":[` + frame("a", "600e6", "1e999", good) + `]}`,
 		`{"frames":[{"sensor":"a","at":"2026-10-02T12:00:00Z","center_hz":6e8,"sample_rate":2.4e6,"iq_b64":"` + good + `"}]}`,
 		`{"frames":[]}`, `{"frames":null}`, `{}`, `[]`, ``, `{"frames":[{}]}`, `{"frames":[null]}`,
+		`{"frames":[` + frame("a", "600e6", "2.4e6", nan) + `,` + frame("a", "600e6", "2.4e6", good) + `,` + frame("b", "600e6", "2.4e6", inf) + `]}`,
 	} {
 		f.Add([]byte(body))
 	}
 
-	var out atomic.Int64 // pooled IQ slices taken and not yet returned
+	var out atomic.Int64       // pooled IQ slices taken and not yet returned
+	var nonFinite atomic.Int64 // slices returned holding a NaN or ±Inf sample
 	getIQ = func(k int) []complex128 { out.Add(1); return dsp.GetComplex(k) }
-	putIQ = func(s []complex128) { out.Add(-1); dsp.PutComplex(s) }
+	putIQ = func(s []complex128) {
+		for _, v := range s {
+			if cmplx.IsNaN(v) || cmplx.IsInf(v) {
+				nonFinite.Add(1)
+				break
+			}
+		}
+		out.Add(-1)
+		dsp.PutComplex(s)
+	}
 	f.Cleanup(func() { getIQ, putIQ = dsp.GetComplex, dsp.PutComplex })
 
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -54,6 +70,9 @@ func FuzzFramesBody(f *testing.F) {
 		s.Close() // drains: every accepted frame has been finished
 		if left := out.Load(); left != 0 {
 			t.Fatalf("%d pooled IQ slices not returned", left)
+		}
+		if bad := nonFinite.Swap(0); bad != 0 {
+			t.Fatalf("%d frames with a non-finite IQ sample were taken in", bad)
 		}
 
 		var req framesRequest

@@ -48,9 +48,14 @@ type framesResponse struct {
 // frames fuzz target can count that every slice taken comes back.
 var getIQ, putIQ = dsp.GetComplex, dsp.PutComplex
 
+// float32Exp masks a float32's exponent; all ones is NaN or ±Inf.
+const float32Exp = 0x7f800000
+
 // decodeIQ unpacks base64 LE float32 interleaved IQ into a pooled
 // complex slice of exactly want samples. The returned slice belongs to
-// the dsp pool; ingest with ReleaseIQ=true returns it.
+// the dsp pool; ingest with ReleaseIQ=true returns it. A NaN or ±Inf
+// sample is refused before a slice is drawn: one would turn every bin
+// of the transform into NaN, which the fold counts as unoccupied.
 func decodeIQ(b64 string, want int) ([]complex128, error) {
 	raw, err := base64.StdEncoding.DecodeString(b64)
 	if err != nil {
@@ -58,6 +63,11 @@ func decodeIQ(b64 string, want int) ([]complex128, error) {
 	}
 	if len(raw) != want*8 {
 		return nil, fmt.Errorf("iq_b64: %d bytes, want %d (%d float32 pairs)", len(raw), want*8, want)
+	}
+	for i := 0; i < len(raw); i += 4 {
+		if binary.LittleEndian.Uint32(raw[i:])&float32Exp == float32Exp {
+			return nil, fmt.Errorf("iq_b64: sample %d is not finite", i/8)
+		}
 	}
 	iq := getIQ(want)
 	for i := 0; i < want; i++ {

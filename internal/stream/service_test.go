@@ -432,8 +432,8 @@ func TestFleetFramesStayOnPowerPath(t *testing.T) {
 }
 
 // TestNonFiniteFramesRejectedAtTheDoor: NaN passes `<= 0` and every band
-// comparison, so a frame with a non-finite rate or centre used to be
-// transformed, folded as empty and counted as processed.
+// comparison, so a frame with a non-finite rate, centre or IQ sample
+// used to be transformed, folded as empty and counted as processed.
 func TestNonFiniteFramesRejectedAtTheDoor(t *testing.T) {
 	s, err := NewService(testConfig())
 	if err != nil {
@@ -478,6 +478,34 @@ func TestNonFiniteFramesRejectedAtTheDoor(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("sample_rate %s over HTTP: %d, want 400", num, resp.StatusCode)
 		}
+	}
+
+	// A NaN or ±Inf IQ sample, which JSON cannot stop since it travels as
+	// float32 bits in base64, would make every bin NaN and the frame read
+	// as unoccupied. It is shed as malformed; the body's finite frame lands.
+	frameJSON := func(iq []complex128) string {
+		return fmt.Sprintf(`{"sensor":"a","center_hz":600e6,"sample_rate":2.4e6,"iq_b64":%q}`, EncodeIQ(iq))
+	}
+	frames := []string{frameJSON(frame)}
+	nonFinite := []complex128{complex(math.NaN(), 0), complex(0, math.NaN()), complex(math.Inf(1), 0), complex(0, math.Inf(-1))}
+	for i, v := range nonFinite {
+		iq := append([]complex128(nil), frame...)
+		iq[17*i] = v
+		frames = append(frames, frameJSON(iq))
+	}
+	resp, err := http.Post(srv.URL+"/api/stream/frames", "application/json",
+		strings.NewReader(`{"frames":[`+strings.Join(frames, ",")+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fr framesResponse
+	err = json.NewDecoder(resp.Body).Decode(&fr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted || fr.Accepted != 1 || fr.Shed != len(nonFinite) {
+		t.Fatalf("non-finite IQ: status %d, %+v, %v; want 202 with 1 accepted and %d shed", resp.StatusCode, fr, err, len(nonFinite))
+	}
+	if got := s.m.framesShed.With(shedMalformed).Value(); got != float64(len(bad)+len(nonFinite)) {
+		t.Fatalf("shed malformed = %v, want %d", got, len(bad)+len(nonFinite))
 	}
 }
 

@@ -48,8 +48,8 @@ type batchScratch struct {
 }
 
 // spanAt pairs a sampled reading's index with its open ingest span so
-// the (rare) traced readings can be finalized after their outcome is
-// known.
+// the traced readings can be finalized after their outcome is known. At
+// a sample ratio of 1 that is every reading carrying a traceparent.
 type spanAt struct {
 	idx  int32
 	span *obs.Span
@@ -106,12 +106,13 @@ func (c *Collector) SubmitBatch(rs []Reading, outs []SubmitOutcome) []SubmitOutc
 	stripes := len(c.dedups)
 	sc.bins = grow32(sc.bins, stripes+1)
 
-	// Phase 1 — validate every reading, open spans for the (rare) traced
-	// ones, and try the lock-free dedup fast path. Readings that need the
-	// authoritative locked check are counted per dedup stripe. A reading
-	// carrying its origin's traceparent gets an ingest span parented into
-	// that trace — the link that survives hours in the agent's spool;
-	// unsampled origins make StartRemote return nil.
+	// Phase 1 — validate every reading, open spans for the traced ones
+	// (every reading with a sampled traceparent), and try the lock-free
+	// dedup fast path. Readings that need the authoritative locked check
+	// are counted per dedup stripe. A reading carrying its origin's
+	// traceparent gets an ingest span parented into that trace — the link
+	// that survives hours in the agent's spool; unsampled origins make
+	// StartRemote return nil.
 	for i := range sc.bins {
 		sc.bins[i] = 0
 	}
