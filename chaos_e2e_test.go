@@ -14,6 +14,7 @@ import (
 	"sensorcal/internal/obs"
 	"sensorcal/internal/resilience"
 	"sensorcal/internal/resilience/chaos"
+	"sensorcal/internal/spectrumd"
 	"sensorcal/internal/store"
 	"sensorcal/internal/store/wal"
 	"sensorcal/internal/trust"
@@ -75,6 +76,30 @@ func runChaosAgentDay(t *testing.T, col *trust.Collector, client *trust.Client) 
 	}
 }
 
+// serveSpectrumd serves the collector daemon spectrumd ships — a ring
+// of one with private metrics and spans, on a clock frozen at the
+// campaign day so its background closer never fires — and shuts it down
+// (closing every pending epoch) when the test ends.
+func serveSpectrumd(t *testing.T, cfg spectrumd.Config) (*spectrumd.Daemon, *httptest.Server) {
+	t.Helper()
+	cfg.ReplicaID = "local"
+	cfg.Clock = clock.NewSimulated(time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC))
+	cfg.Registry = obs.NewRegistry()
+	if cfg.Tracer == nil {
+		cfg.Tracer = obs.NewTracer(0)
+	}
+	d, err := spectrumd.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		d.Shutdown()
+	})
+	return d, srv
+}
+
 // newChaosClient assembles a trust.Client whose every request crosses the
 // faulty transport. The breaker threshold is high: this test measures
 // delivery through sustained faults, not fail-fast behavior (breaker
@@ -133,10 +158,8 @@ func TestChaosCampaignLosslessDelivery(t *testing.T) {
 	ref.CloseEpochs(time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC))
 
 	// Chaos run: same agent, same seed, network faults on every edge.
-	col := trust.NewCollector()
-	col.EpochWindow = time.Hour
-	srv := httptest.NewServer(trust.Harden(col.Handler(time.Now), trust.HardenConfig{}))
-	defer srv.Close()
+	d, srv := serveSpectrumd(t, spectrumd.Config{Epoch: time.Hour})
+	col := d.Collector()
 	faults := chaos.Faults{DropBefore: 0.1, DropAfter: 0.1, Err503: 0.05, Delay: 0.05, MaxDelay: 5 * time.Millisecond}
 	rt := chaos.NewTransport(nil, chaosSeed, faults)
 	client := newChaosClient(t, srv.URL, rt)
@@ -148,7 +171,7 @@ func TestChaosCampaignLosslessDelivery(t *testing.T) {
 	if depth := client.SpoolDepth(); depth != 0 {
 		t.Fatalf("spool depth after drain = %d, want 0", depth)
 	}
-	col.CloseEpochs(time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC))
+	d.ClosePass(time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC))
 
 	requests, injected := rt.Stats()
 	if requests == 0 || injected == 0 {
@@ -196,13 +219,11 @@ func TestChaosCampaignLosslessDelivery(t *testing.T) {
 // Idempotency keys must collapse the replay to exactly one reading per
 // epoch.
 func TestChaosRestartReplaysSpool(t *testing.T) {
-	col := trust.NewCollector()
-	col.EpochWindow = time.Minute
+	d, srv := serveSpectrumd(t, spectrumd.Config{Epoch: time.Minute})
+	col := d.Collector()
 	if err := col.Ledger.Register(trust.Node{ID: "node-1"}); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(trust.Harden(col.Handler(time.Now), trust.HardenConfig{}))
-	defer srv.Close()
 	spoolPath := filepath.Join(t.TempDir(), "readings.jsonl")
 
 	// First life: every response is lost after the server processed the
@@ -262,7 +283,7 @@ func TestChaosRestartReplaysSpool(t *testing.T) {
 		t.Fatalf("spool depth after restart drain = %d, want 0", spool2.Len())
 	}
 
-	col.CloseEpochs(base.Add(24 * time.Hour))
+	d.ClosePass(base.Add(24 * time.Hour))
 	epochs := col.History("tv-521MHz")
 	if len(epochs) != total {
 		t.Fatalf("epochs = %d, want %d (first life delivered, restart replayed — dedup must collapse)", len(epochs), total)
@@ -297,17 +318,8 @@ func TestChaosSpoolReplayIntoRecoveredWAL(t *testing.T) {
 	// First life: the collector's trust store sits on a power-cuttable
 	// filesystem.
 	fs := chaos.NewPowerCutFS(wal.OS{}, chaosSeed)
-	tl1, err := store.OpenTrustLog(walDir, wal.Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col1 := trust.NewCollector()
-	col1.EpochWindow = time.Minute
-	if _, err := tl1.Recover(col1.Ledger, base); err != nil {
-		t.Fatal(err)
-	}
-	col1.Store = tl1
-	srv1 := httptest.NewServer(trust.Harden(col1.Handler(time.Now), trust.HardenConfig{}))
+	d1, srv1 := serveSpectrumd(t, spectrumd.Config{Epoch: time.Minute, WAL: walDir, FS: fs})
+	col1 := d1.Collector()
 
 	spool1, err := resilience.OpenSpool(spoolPath)
 	if err != nil {
@@ -333,7 +345,7 @@ func TestChaosSpoolReplayIntoRecoveredWAL(t *testing.T) {
 	if err := client1.Drain(ctx); err != nil {
 		t.Fatalf("healthy drain: %v", err)
 	}
-	col1.CloseEpochs(base.Add(time.Hour))
+	d1.ClosePass(base.Add(time.Hour))
 	trustClosed := col1.Ledger.Trust("node-1")
 
 	// Second half: the server ingests every attempt, the client never
@@ -364,35 +376,25 @@ func TestChaosSpoolReplayIntoRecoveredWAL(t *testing.T) {
 	}
 
 	// Lights out mid-epoch: the second half's pending windows die with
-	// the process; the closed-epoch trust is already on disk.
+	// the process; the closed-epoch trust is already on disk. The cut
+	// disk refuses every later write, so the first life's shutdown at the
+	// end of the test changes nothing on it.
 	fs.Crash()
 	if err := spool1.Close(); err != nil {
 		t.Fatal(err)
 	}
 	srv1.Close()
-	tl1.Close()
 
 	// Second life: recover the ledger from the segment WAL with a healthy
 	// filesystem, replay the agent spool into the fresh collector.
-	tl2, err := store.OpenTrustLog(walDir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tl2.Close()
-	col2 := trust.NewCollector()
-	col2.EpochWindow = time.Minute
-	if _, err := tl2.Recover(col2.Ledger, base); err != nil {
-		t.Fatal(err)
-	}
+	d2, srv2 := serveSpectrumd(t, spectrumd.Config{Epoch: time.Minute, WAL: walDir})
+	col2 := d2.Collector()
 	if _, ok := col2.Ledger.Node("node-1"); !ok {
 		t.Fatal("acknowledged registration lost in the power cut")
 	}
 	if got := col2.Ledger.Trust("node-1"); got != trustClosed {
 		t.Fatalf("recovered trust = %v, want the closed-epoch value %v", got, trustClosed)
 	}
-	col2.Store = tl2
-	srv2 := httptest.NewServer(trust.Harden(col2.Handler(time.Now), trust.HardenConfig{}))
-	defer srv2.Close()
 
 	spool2, err := resilience.OpenSpool(spoolPath)
 	if err != nil {
@@ -409,7 +411,7 @@ func TestChaosSpoolReplayIntoRecoveredWAL(t *testing.T) {
 	if err := client2.Drain(ctx); err != nil {
 		t.Fatalf("drain after restart: %v", err)
 	}
-	col2.CloseEpochs(base.Add(2 * time.Hour))
+	d2.ClosePass(base.Add(2 * time.Hour))
 
 	// Exactly-once: the crashed life delivered each reading up to twice
 	// and the replay delivered it again — idempotency keys collapse all

@@ -142,11 +142,6 @@ func (h *Histogram) Add(deg, w float64) { h.counts[h.BinFor(deg)] += w }
 // Count returns the accumulated weight in bin i.
 func (h *Histogram) Count(i int) float64 { return h.counts[i] }
 
-// BinCenter returns the central bearing of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return (float64(i) + 0.5) * h.BinWidth()
-}
-
 // Max returns the largest bin weight.
 func (h *Histogram) Max() float64 {
 	m := 0.0

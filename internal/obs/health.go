@@ -12,7 +12,7 @@ import (
 // Readiness aggregates named probes: boolean flags a daemon flips as it
 // finishes booting ("ledger"), plus callback checks evaluated on every
 // request ("wal" — is the store healthy right now?). A daemon is ready
-// only when every probe passes; orchestration (and the CI smoke scripts)
+// only when every probe passes; orchestration (and the process tests)
 // gate traffic on /readyz instead of sleeping and hoping.
 //
 // All methods are safe for concurrent use and tolerate a nil receiver

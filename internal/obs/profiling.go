@@ -28,9 +28,3 @@ func EnableContentionProfiling(mutexFraction, blockRateNs int) {
 		runtime.SetBlockProfileRate(blockRateNs)
 	}
 }
-
-// DisableContentionProfiling switches both profilers back off.
-func DisableContentionProfiling() {
-	runtime.SetMutexProfileFraction(0)
-	runtime.SetBlockProfileRate(0)
-}

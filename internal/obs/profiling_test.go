@@ -14,7 +14,10 @@ import (
 // contention claim.
 func TestAdminMuxServesContentionProfiles(t *testing.T) {
 	EnableContentionProfiling(1, 1)
-	defer DisableContentionProfiling()
+	defer func() {
+		runtime.SetMutexProfileFraction(0)
+		runtime.SetBlockProfileRate(0)
+	}()
 
 	// Manufacture some mutex contention so the profile has samples.
 	var mu sync.Mutex

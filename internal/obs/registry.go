@@ -41,7 +41,7 @@ type family struct {
 
 	mu       sync.Mutex
 	children map[string]interface{} // joined label values → metric
-	fn       func() float64         // callback metrics (GaugeFunc/CounterFunc)
+	fn       func() float64         // callback metrics (GaugeFunc)
 	buckets  []float64              // histogram upper bounds
 }
 
@@ -217,15 +217,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // the hot path at all.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f := r.register(name, help, "gauge", nil)
-	f.mu.Lock()
-	f.fn = fn
-	f.mu.Unlock()
-}
-
-// CounterFunc registers a counter whose value is read from fn at scrape
-// time. fn must be monotone.
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	f := r.register(name, help, "counter", nil)
 	f.mu.Lock()
 	f.fn = fn
 	f.mu.Unlock()

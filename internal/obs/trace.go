@@ -585,7 +585,7 @@ func (t *Tracer) retained(keep func(*spanRec) bool) []SpanRecord {
 
 // Handler serves the retained spans as a JSON array (newest data is at
 // the end). `?trace_id=<32-hex>` filters to one trace — the lookup the
-// cross-daemon e2e smoke drives. Mounted as GET /debug/traces.
+// cross-daemon process test drives. Mounted as GET /debug/traces.
 func (t *Tracer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -25,6 +25,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -54,17 +55,12 @@ func New(cfg Config) *Executor {
 // Workers returns the worker bound.
 func (e *Executor) Workers() int { return e.workers }
 
-// indexedError carries the unit index so error selection is deterministic.
-type indexedError struct {
-	index int
-	err   error
-}
-
 // Run executes fn(ctx, i) once for every i in [0, n) across the pool.
-// The batch stops admitting new units after the first failure (units
-// already running finish), and the returned error is the one with the
-// lowest unit index — independent of scheduling. A cancelled ctx stops
-// the batch the same way.
+// After a failure the batch admits only units below the lowest failing
+// index so far; running units keep the caller's ctx, so a failure never
+// cancels them. The feed is FIFO, so every unit below the lowest failing
+// index runs, and the returned error is that unit's — independent of
+// scheduling. A cancelled ctx stops admitting units.
 func (e *Executor) Run(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -85,21 +81,20 @@ func (e *Executor) Run(ctx context.Context, n int, fn func(ctx context.Context, 
 	close(feed)
 	m.queueDepth.Add(float64(n))
 
-	unitCtx, stop := context.WithCancel(ctx)
-	defer stop()
-
 	var (
-		mu    sync.Mutex
-		first *indexedError
-		wg    sync.WaitGroup
+		mu     sync.Mutex
+		first  error        // the error of unit lowest
+		lowest atomic.Int64 // lowest failing index so far; n while none
+		wg     sync.WaitGroup
 	)
+	lowest.Store(int64(n))
 	fail := func(i int, err error) {
 		mu.Lock()
-		if first == nil || i < first.index {
-			first = &indexedError{index: i, err: err}
+		if int64(i) < lowest.Load() {
+			first = err
+			lowest.Store(int64(i))
 		}
 		mu.Unlock()
-		stop()
 	}
 
 	wg.Add(workers)
@@ -108,15 +103,15 @@ func (e *Executor) Run(ctx context.Context, n int, fn func(ctx context.Context, 
 			defer wg.Done()
 			for i := range feed {
 				m.queueDepth.Add(-1)
-				if unitCtx.Err() != nil {
-					// The batch is already failing or cancelled; drain the
-					// remaining indices without running them.
+				if int64(i) > lowest.Load() || ctx.Err() != nil {
+					// A lower unit has failed or the caller cancelled; drain
+					// the remaining indices without running them.
 					m.unitsSkipped.Inc()
 					continue
 				}
 				unitStart := time.Now()
 				m.workersBusy.Add(1)
-				err := fn(unitCtx, i)
+				err := fn(ctx, i)
 				busy := time.Since(unitStart)
 				m.workersBusy.Add(-1)
 				m.busySeconds.Add(busy.Seconds())
@@ -141,7 +136,7 @@ func (e *Executor) Run(ctx context.Context, n int, fn func(ctx context.Context, 
 	mu.Lock()
 	defer mu.Unlock()
 	if first != nil {
-		return first.err
+		return first
 	}
 	return ctx.Err()
 }

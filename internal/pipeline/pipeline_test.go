@@ -78,6 +78,73 @@ func TestRunReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
+// awaitSkip blocks until a worker has skipped a unit since skipped was
+// read: the batch has recorded a failure and reacted to it.
+func awaitSkip(t *testing.T, skipped float64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for metrics().unitsSkipped.Value() == skipped {
+		if time.Now().After(deadline) {
+			t.Error("no unit was skipped after the failure")
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunLowestIndexErrorWhenHeldPastAHigherFailure holds unit 3 until
+// unit 17 has failed and the batch has skipped a later unit over it. Unit 3
+// was admitted first, so its own error is the lowest and must win; a
+// unit that is still running is not cancelled by a higher unit's failure.
+func TestRunLowestIndexErrorWhenHeldPastAHigherFailure(t *testing.T) {
+	e := New(Config{Workers: 2})
+	skipped := metrics().unitsSkipped.Value()
+	err := e.Run(context.Background(), 32, func(ctx context.Context, i int) error {
+		switch i {
+		case 3:
+			awaitSkip(t, skipped)
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return errors.New("unit 3 failed")
+		case 17, 29:
+			return fmt.Errorf("unit %d failed", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "unit 3 failed" {
+		t.Fatalf("err = %v, want unit 3's", err)
+	}
+}
+
+// TestRunLowerUnitOutlivesHigherFailure is the agent's shape: unit 0
+// runs a context-aware capture while unit 1 fails. Unit 0 must finish
+// under the caller's context, and Run must return unit 1's error, not
+// unit 0's context.Canceled. Unit 2 only marks the moment the batch has
+// reacted to unit 1's failure (it is skipped).
+func TestRunLowerUnitOutlivesHigherFailure(t *testing.T) {
+	e := New(Config{Workers: 2})
+	skipped := metrics().unitsSkipped.Value()
+	var ran2 atomic.Bool
+	err := e.Run(context.Background(), 3, func(ctx context.Context, i int) error {
+		switch i {
+		case 0:
+			awaitSkip(t, skipped)
+			return ctx.Err()
+		case 1:
+			return errors.New("unit 1 failed")
+		}
+		ran2.Store(true)
+		return nil
+	})
+	if err == nil || err.Error() != "unit 1 failed" {
+		t.Fatalf("err = %v, want unit 1's", err)
+	}
+	if ran2.Load() {
+		t.Fatal("unit 2 ran after unit 1 failed")
+	}
+}
+
 func TestRunStopsAdmittingAfterFailure(t *testing.T) {
 	e := New(Config{Workers: 1})
 	var ran atomic.Int32

@@ -74,8 +74,8 @@ func (OS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 }
 
-func (OS) Remove(name string) error              { return os.Remove(name) }
-func (OS) Rename(oldpath, newpath string) error  { return os.Rename(oldpath, newpath) }
+func (OS) Remove(name string) error               { return os.Remove(name) }
+func (OS) Rename(oldpath, newpath string) error   { return os.Rename(oldpath, newpath) }
 func (OS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
 
 func (OS) SyncDir(dir string) error {

@@ -34,7 +34,6 @@ const (
 	shedMalformed = "malformed" // frame length/rate invalid
 	shedBand      = "band"      // frame outside the monitored band
 	shedDegraded  = "degraded"  // aggregation breaker open
-	shedShutdown  = "shutdown"  // service closing, queue drained unprocessed
 )
 
 func newServiceMetrics(reg *obs.Registry, table *SessionTable, queueDepth func() float64) *serviceMetrics {

@@ -374,8 +374,8 @@ func (s *Service) runBatch(batch []*frameTask, jobs []Job) {
 	// one engine.ProcessPower call, so twiddles/windows are still amortized
 	// per chunk and per-frame output stays bit-identical to serial. A
 	// single-chunk batch runs inline: the pool's per-Run setup (feed
-	// channel, cancel context, worker goroutines) would cost more than it
-	// buys and would break the steady-state allocs/frame ≈ 0 contract
+	// channel, worker goroutines) would cost more than it buys and would
+	// break the steady-state allocs/frame ≈ 0 contract
 	// when the fleet trickles frames in one at a time.
 	workers := s.exec.Workers()
 	chunk := (len(jobs) + workers - 1) / workers

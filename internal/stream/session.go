@@ -28,10 +28,6 @@ import (
 // is full, try again after churn.
 var ErrSessionLimit = errors.New("stream: session limit reached")
 
-// ErrEvicted is returned for operations on a session that lost the race
-// with the idle sweeper.
-var ErrEvicted = errors.New("stream: session evicted")
-
 // Session is one sensor's streaming state. Mutable fields are guarded by
 // mu; the aggregation fold is the only writer in the steady state.
 type Session struct {

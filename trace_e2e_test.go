@@ -16,6 +16,7 @@ import (
 	"sensorcal/internal/obs"
 	"sensorcal/internal/resilience"
 	"sensorcal/internal/sched"
+	"sensorcal/internal/spectrumd"
 	"sensorcal/internal/trust"
 	"sensorcal/internal/world"
 )
@@ -39,16 +40,9 @@ func TestTraceEndToEnd(t *testing.T) {
 	sim := clock.NewSimulated(day)
 	logger := obs.NewLogger("trace-e2e")
 
-	// --- spectrumd: collector + admin surface on its own tracer.
+	// --- spectrumd: the shipped daemon on its own tracer.
 	spectrumTr := obs.NewTracer(256)
-	spectrumReg := obs.NewRegistry()
-	col := trust.NewShardedCollector(4)
-	col.Tracer = spectrumTr
-	col.Obs = spectrumReg
-	spectrumMux := obs.AdminMux(spectrumReg, spectrumTr, nil)
-	spectrumMux.Handle("/api/", col.Handler(sim.Now))
-	spectrumSrv := httptest.NewServer(spectrumMux)
-	defer spectrumSrv.Close()
+	spectrum, spectrumSrv := serveSpectrumd(t, spectrumd.Config{Epoch: time.Minute, Tracer: spectrumTr})
 
 	// --- schedd: queue + lease API on its own tracer. The first
 	// /api/lease attempt is rejected with a 503 before reaching the API,
@@ -240,10 +234,10 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	// Closing the epoch roots its own trace (it aggregates many), so the
 	// measurement trace must NOT grow — but close spans must exist.
-	col.CloseEpochs(sim.Now().Add(24 * time.Hour))
+	spectrum.ClosePass(sim.Now().Add(24 * time.Hour))
 	var sawClose bool
 	for _, s := range spectrumTr.Snapshot() {
-		if s.Name == "trust.close_epochs" {
+		if s.Name == "replica.merge_close" {
 			sawClose = true
 			if s.TraceID == traceID {
 				t.Errorf("epoch close joined a reading's trace; want its own root")
@@ -251,7 +245,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		}
 	}
 	if !sawClose {
-		t.Errorf("no trust.close_epochs span recorded")
+		t.Errorf("no replica.merge_close span recorded")
 	}
 }
 
