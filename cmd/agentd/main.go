@@ -17,8 +17,8 @@
 // from double-counting at the collector. -spool names the spool's
 // directory: a segment WAL (internal/store/wal) of readings and a
 // delivered-through watermark. Older agentd releases kept a JSONL file
-// at the same default path; the first start finds it there and imports
-// its undelivered readings into the WAL once, crash-safely.
+// at the same default path; agentd refuses to start on a file there, and
+// leaves it untouched.
 //
 // By default it runs against an accelerated simulated clock so a full
 // measurement day finishes in seconds; pass -realtime to pace the windows
@@ -70,7 +70,7 @@ func main() {
 		poll      = flag.Duration("poll", 30*time.Second, "lease poll interval when the queue is empty (scheduled mode)")
 		maxTasks  = flag.Int("tasks", 0, "stop after completing this many scheduled tasks (0: run until signalled)")
 		collector = flag.String("collector", "", "spectrumd base URL (empty: no submission)")
-		spoolPath = flag.String("spool", "agentd.spool.jsonl", "store-and-forward spool directory for readings awaiting delivery (an older agentd's JSONL spool file here is imported once)")
+		spoolPath = flag.String("spool", "agentd.spool.jsonl", "store-and-forward spool directory for readings awaiting delivery (a file here, such as an older agentd's JSONL spool, is refused)")
 		drainIv   = flag.Duration("drain", 2*time.Second, "spool drain interval")
 		realtime  = flag.Bool("realtime", false, "pace windows on the wall clock")
 		parallel  = flag.Int("parallel", 0, "measurement units run concurrently (0: GOMAXPROCS, 1: serial; results identical)")

@@ -243,7 +243,7 @@ func main() {
 	}
 
 	d := &daemon{
-		forecaster: sched.NewForecaster(sched.ForecastConfig{}),
+		forecaster: sched.NewForecaster(),
 		queue:      sched.NewQueue(sched.QueueConfig{LeaseTTL: *leaseTTL}),
 		clk:        clock.System{},
 		log:        logger,

@@ -20,8 +20,10 @@ type TrafficForecast struct {
 	// range during hour h (0–23, local time).
 	HourlyDensity [24]float64
 	// SectorBias optionally skews traffic toward certain bearings per
-	// hour: SectorBias[h][b] is the fraction of hour-h traffic in 30°
-	// sector b (12 sectors). A zero map means uniform.
+	// hour: SectorBias[h][b] weighs hour-h traffic in 30° sector b (12
+	// sectors), and sector b's share is its weight over the hour's sum —
+	// fractions and expected counts both work. An hour without weights
+	// (or whose weights sum to zero) is uniform.
 	SectorBias map[int][12]float64
 }
 
@@ -106,26 +108,25 @@ func PlanMeasurements(cfg ScheduleConfig) ([]MeasurementWindow, error) {
 		best := -1
 		bestGain := math.Inf(-1)
 		for i, s := range slots {
-			density := cfg.Forecast.HourlyDensity[s.hour]
-			gain := density
-			// Discount traffic in already-covered sectors.
-			if bias, ok := cfg.Forecast.SectorBias[s.hour]; ok {
-				var covered float64
-				for b, frac := range bias {
-					if cfg.CoveredSectors[b] {
-						covered += frac
-					}
+			// Discount the share of traffic in already-covered sectors.
+			// Without sector weights the covered sectors count as a
+			// twelfth each.
+			var covered, total float64
+			for b, w := range cfg.Forecast.SectorBias[s.hour] {
+				total += w
+				if cfg.CoveredSectors[b] {
+					covered += w
 				}
-				gain *= 1 - 0.8*covered
-			} else {
-				var coveredCount int
+			}
+			if total <= 0 {
+				covered, total = 0, 12
 				for _, c := range cfg.CoveredSectors {
 					if c {
-						coveredCount++
+						covered++
 					}
 				}
-				gain *= 1 - 0.8*float64(coveredCount)/12
 			}
+			gain := cfg.Forecast.HourlyDensity[s.hour] * (1 - 0.8*covered/total)
 			// Diminishing returns for the same hour of day.
 			gain /= float64(1 + picksPerHour[s.hour]*picksPerHour[s.hour])
 			if gain > bestGain {

@@ -17,8 +17,7 @@ import (
 // dropped and counted (trace_spans_dropped_total{reason="export_queue"})
 // — backpressure on telemetry would invert the service's priorities.
 type SpanExporter struct {
-	path    string
-	maxSize int64
+	path string
 
 	queue chan spanRec
 	stop  chan struct{}
@@ -38,10 +37,12 @@ type ExporterConfig struct {
 	Path string
 	// QueueSize bounds spans awaiting the writer; zero means 1024.
 	QueueSize int
-	// MaxSizeBytes truncates the spool (oldest spans lost) when an append
-	// would exceed it. Zero means 64 MiB; telemetry is bounded, always.
-	MaxSizeBytes int64
 }
+
+// exportMaxBytes bounds the spool file: an append that would exceed it
+// truncates the spool first (oldest spans lost). Telemetry is bounded,
+// always.
+const exportMaxBytes = 64 << 20
 
 // NewSpanExporter opens (or creates) the spool file and starts the
 // background writer.
@@ -51,9 +52,6 @@ func NewSpanExporter(cfg ExporterConfig) (*SpanExporter, error) {
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024
-	}
-	if cfg.MaxSizeBytes <= 0 {
-		cfg.MaxSizeBytes = 64 << 20
 	}
 	f, err := os.OpenFile(cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -65,14 +63,13 @@ func NewSpanExporter(cfg ExporterConfig) (*SpanExporter, error) {
 		return nil, fmt.Errorf("obs: span exporter: %w", err)
 	}
 	e := &SpanExporter{
-		path:    cfg.Path,
-		maxSize: cfg.MaxSizeBytes,
-		queue:   make(chan spanRec, cfg.QueueSize),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		f:       f,
-		w:       bufio.NewWriterSize(f, 32<<10),
-		size:    st.Size(),
+		path:  cfg.Path,
+		queue: make(chan spanRec, cfg.QueueSize),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+		f:     f,
+		w:     bufio.NewWriterSize(f, 32<<10),
+		size:  st.Size(),
 	}
 	go e.run()
 	return e, nil
@@ -136,7 +133,7 @@ func (e *SpanExporter) write(rec spanRec) {
 	if e.w == nil {
 		return
 	}
-	if e.size+int64(len(line))+1 > e.maxSize {
+	if e.size+int64(len(line))+1 > exportMaxBytes {
 		e.w.Flush()
 		if err := e.f.Truncate(0); err == nil {
 			if _, err := e.f.Seek(0, 0); err == nil {

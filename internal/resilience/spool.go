@@ -1,12 +1,9 @@
 package resilience
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"path/filepath"
 	"sync"
 
@@ -72,8 +69,9 @@ type Spool struct {
 }
 
 // OpenSpool opens (or creates) the spool in directory path and recovers
-// its pending records. A JSONL spool file that an older agent left at
-// path is imported first, once.
+// its pending records. A file at path — such as the JSONL spool agents
+// wrote before the spool moved onto the WAL — is an error, and is left
+// as it is.
 func OpenSpool(path string) (*Spool, error) { return openSpool(path, wal.Options{}) }
 
 // openSpool is OpenSpool on a given filesystem and segment size, the
@@ -81,9 +79,6 @@ func OpenSpool(path string) (*Spool, error) { return openSpool(path, wal.Options
 func openSpool(path string, opts wal.Options) (*Spool, error) {
 	if opts.FS == nil {
 		opts.FS = wal.OS{}
-	}
-	if err := importLegacy(opts.FS, path); err != nil {
-		return nil, fmt.Errorf("resilience: importing spool file %s: %w", path, err)
 	}
 	w, err := wal.OpenWAL(path, opts)
 	if err != nil {
@@ -258,99 +253,4 @@ func (s *Spool) Close() error {
 	err := s.w.Close()
 	s.w = nil
 	return err
-}
-
-// importLegacy turns a JSONL spool file at path, the format agents wrote
-// before the spool moved onto the WAL, into a spool directory at the same
-// path. The new spool is built and fsynced beside the file (path +
-// ".import"; re-appending into a half-built one is a no-op per key),
-// removing the file commits, and a rename moves the spool into place,
-// each directory change fsynced. A power cut before the commit leaves
-// the file to import again; one after leaves the finished spool, which
-// the next open moves in.
-func importLegacy(fs wal.FS, path string) error {
-	tmp, dir := path+".import", filepath.Dir(path)
-	if _, err := fs.ReadDir(path); err == nil {
-		return nil // already a spool directory
-	}
-	if _, err := fs.Size(path); err == nil {
-		rc, err := fs.OpenRead(path)
-		if err != nil {
-			return err
-		}
-		raw, err := io.ReadAll(rc)
-		rc.Close()
-		if err != nil {
-			return err
-		}
-		// One segment that never rolls, synced once: nothing in it counts
-		// until the file is gone.
-		t, err := openSpool(tmp, wal.Options{FS: fs, SegmentBytes: math.MaxInt64, NoSyncOnAppend: true})
-		if err != nil {
-			return err
-		}
-		for _, r := range readLegacy(raw) {
-			if err == nil {
-				err = t.Append(r.Key, r.Payload)
-			}
-		}
-		if err == nil {
-			err = t.w.Sync()
-		}
-		if cerr := t.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = fs.Remove(path)
-		}
-		if err == nil {
-			err = fs.SyncDir(dir)
-		}
-		if err != nil {
-			return err
-		}
-	} else if _, err := fs.ReadDir(tmp); err != nil {
-		return nil // nothing at path: a fresh spool
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		return err
-	}
-	return fs.SyncDir(dir)
-}
-
-// readLegacy returns the pending records of a JSONL spool — lines of
-// {"op":"put","key":..,"payload":..} and {"op":"ack","keys":[..]} — in
-// arrival order. It stops at the first line that does not decode, the
-// torn tail of an interrupted write; a last line that decodes but lost
-// its newline is whole.
-func readLegacy(raw []byte) []Record {
-	var recs []Record
-	live := make(map[string]int) // pending key → index in recs
-	for _, line := range bytes.Split(raw, []byte{'\n'}) {
-		var e struct {
-			Op, Key string
-			Payload json.RawMessage
-			Keys    []string
-		}
-		if json.Unmarshal(line, &e) != nil {
-			break
-		}
-		if _, ok := live[e.Key]; e.Op == "put" && !ok {
-			live[e.Key] = len(recs)
-			recs = append(recs, Record{e.Key, e.Payload})
-		}
-		for _, k := range e.Keys {
-			if i, ok := live[k]; ok && e.Op == "ack" {
-				recs[i].Key = "" // acked; old agents never wrote an empty key
-				delete(live, k)
-			}
-		}
-	}
-	out := recs[:0]
-	for _, r := range recs {
-		if r.Key != "" {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -13,7 +13,7 @@ import (
 // horizon. CI uploads the result as an artifact so planner regressions
 // show up in review.
 func BenchmarkPlanner(b *testing.B) {
-	f := NewForecaster(ForecastConfig{})
+	f := NewForecaster()
 	day := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 	for h := 0; h < 7*24; h++ {
 		at := day.Add(time.Duration(h) * time.Hour)

@@ -42,7 +42,7 @@ func TestScheduledBeatsFreeRunningCoverage(t *testing.T) {
 
 	// Day 1: the scheduler observes one traffic snapshot per hour and
 	// learns the diurnal density.
-	f := NewForecaster(ForecastConfig{})
+	f := NewForecaster()
 	for h := 0; h < 24; h++ {
 		at := day1.Add(time.Duration(h) * time.Hour)
 		f.Observe("rooftop", at, testCenter, trafficAt(t, at, seed))

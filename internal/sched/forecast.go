@@ -9,29 +9,25 @@ import (
 	"sensorcal/internal/geo"
 )
 
-// ForecastConfig configures a Forecaster.
-type ForecastConfig struct {
-	// Retain is the sliding window: snapshots older than this (relative
-	// to the newest snapshot per site) are evicted. Zero means 7 days —
-	// long enough to see every hour of the weekly schedule several times,
-	// short enough to track seasonal timetable changes.
-	Retain time.Duration
-}
+// retain is the forecaster's sliding window: snapshots older than this
+// (relative to the newest snapshot per site) are evicted. Seven days is
+// long enough to see every hour of the weekly schedule several times,
+// short enough to track seasonal timetable changes.
+const retain = 7 * 24 * time.Hour
 
 // Forecaster folds traffic snapshots into per-site sliding-window
-// histograms keyed by hour of day and 30° bearing sector, and predicts
-// the expected aircraft yield of a candidate measurement window. It is
+// histograms keyed by hour of day and 30° bearing sector, and exports
+// them as the calib.TrafficForecast the window picker plans on. It is
 // safe for concurrent use: schedd's plan loop observes while the HTTP
 // handlers read.
 type Forecaster struct {
-	retain time.Duration
-
 	mu    sync.Mutex
 	sites map[string]*siteHistogram
 }
 
 // siteHistogram is one site's sliding window of snapshots plus running
-// per-hour aggregates, so Predict is O(1) instead of rescanning samples.
+// per-hour aggregates, so an export reads 24 × 12 sums instead of
+// rescanning samples.
 type siteHistogram struct {
 	samples []snapshot
 	newest  time.Time
@@ -53,11 +49,8 @@ type snapshot struct {
 }
 
 // NewForecaster returns an empty forecaster.
-func NewForecaster(cfg ForecastConfig) *Forecaster {
-	if cfg.Retain <= 0 {
-		cfg.Retain = 7 * 24 * time.Hour
-	}
-	return &Forecaster{retain: cfg.Retain, sites: make(map[string]*siteHistogram)}
+func NewForecaster() *Forecaster {
+	return &Forecaster{sites: make(map[string]*siteHistogram)}
 }
 
 // Observe folds one traffic snapshot — the aircraft a ground-truth query
@@ -78,7 +71,7 @@ func (f *Forecaster) Observe(site string, at time.Time, center geo.Point, flight
 		f.sites[site] = h
 	}
 	h.add(s)
-	h.evict(f.retain)
+	h.evict()
 }
 
 func (h *siteHistogram) add(s snapshot) {
@@ -97,7 +90,7 @@ func (h *siteHistogram) add(s snapshot) {
 }
 
 // evict drops samples that slid out of the retention window.
-func (h *siteHistogram) evict(retain time.Duration) {
+func (h *siteHistogram) evict() {
 	cutoff := h.newest.Add(-retain)
 	keep := h.samples[:0]
 	for _, s := range h.samples {
@@ -117,47 +110,6 @@ func (h *siteHistogram) evict(retain time.Duration) {
 	h.samples = keep
 }
 
-// Yield is the forecast for one candidate measurement window.
-type Yield struct {
-	// ExpectedAircraft is the predicted count of distinct aircraft within
-	// ground-truth range during the window — the paper's "flight density"
-	// signal: a 30 s capture can only observe what is overhead.
-	ExpectedAircraft float64
-	// PerSector splits the expectation across 30° bearing sectors.
-	PerSector [12]float64
-	// Samples is how many snapshots back the hour-of-day estimate; zero
-	// means Fallback.
-	Samples int
-	// Fallback marks a prediction built from the site-wide mean (or
-	// nothing at all) because the hour has no history yet.
-	Fallback bool
-}
-
-// Predict returns the expected yield of a window starting at the given
-// time at the given site. An hour with no history falls back to the
-// site-wide mean; an unknown site predicts zero with Fallback set.
-func (f *Forecaster) Predict(site string, at time.Time) Yield {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	h, ok := f.sites[site]
-	if !ok || h.totalN == 0 {
-		return Yield{Fallback: true}
-	}
-	hour := at.Hour()
-	if n := h.hourN[hour]; n > 0 {
-		y := Yield{ExpectedAircraft: h.hourSum[hour] / float64(n), Samples: n}
-		for b := range y.PerSector {
-			y.PerSector[b] = h.sectorSum[hour][b] / float64(n)
-		}
-		return y
-	}
-	y := Yield{ExpectedAircraft: h.totalSum / float64(h.totalN), Fallback: true}
-	for b := range y.PerSector {
-		y.PerSector[b] = h.sectorsAll[b] / float64(h.totalN)
-	}
-	return y
-}
-
 // Samples returns how many snapshots the site's sliding window currently
 // holds.
 func (f *Forecaster) Samples(site string) int {
@@ -170,35 +122,31 @@ func (f *Forecaster) Samples(site string) int {
 	return len(h.samples)
 }
 
-// TrafficForecast exports the site's histogram in calib's forecast shape,
-// bridging the learned density to the existing free-running scheduler
-// (calib.PlanMeasurements): HourlyDensity from the per-hour means,
-// SectorBias from the normalized sector split of each hour with data.
+// TrafficForecast exports the site's histogram in calib's forecast shape:
+// HourlyDensity[h] is the mean aircraft count of hour h and
+// SectorBias[h] its expected count per 30° sector. An hour with no
+// history gets the site-wide mean and sector split; an unknown site
+// forecasts an empty sky.
 func (f *Forecaster) TrafficForecast(site string) calib.TrafficForecast {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var out calib.TrafficForecast
 	h, ok := f.sites[site]
-	if !ok {
+	if !ok || h.totalN == 0 {
 		return out
 	}
+	out.SectorBias = make(map[int][12]float64, 24)
 	for hour := 0; hour < 24; hour++ {
-		n := h.hourN[hour]
+		n, sum, sectors := h.hourN[hour], h.hourSum[hour], h.sectorSum[hour]
 		if n == 0 {
-			continue
+			n, sum, sectors = h.totalN, h.totalSum, h.sectorsAll
 		}
-		out.HourlyDensity[hour] = h.hourSum[hour] / float64(n)
-		if h.hourSum[hour] <= 0 {
-			continue
+		out.HourlyDensity[hour] = sum / float64(n)
+		var w [12]float64
+		for b := range w {
+			w[b] = sectors[b] / float64(n)
 		}
-		var bias [12]float64
-		for b := range bias {
-			bias[b] = h.sectorSum[hour][b] / h.hourSum[hour]
-		}
-		if out.SectorBias == nil {
-			out.SectorBias = make(map[int][12]float64)
-		}
-		out.SectorBias[hour] = bias
+		out.SectorBias[hour] = w
 	}
 	return out
 }

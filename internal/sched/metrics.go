@@ -50,14 +50,14 @@ func newQueueMetrics(reg *obs.Registry) *queueMetrics {
 }
 
 // registerDepth exports the queue's live depth as scrape-time gauges.
-func (m *queueMetrics) registerDepth(reg *obs.Registry, q *Queue) {
+func (m *queueMetrics) registerDepth(reg *obs.Registry, stats func() QueueStats) {
 	if reg == nil {
 		reg = obs.Default()
 	}
 	reg.GaugeFunc("sched_queue_depth",
 		"Tasks awaiting lease.",
-		func() float64 { return float64(q.Stats().Pending) })
+		func() float64 { return float64(stats().Pending) })
 	reg.GaugeFunc("sched_leases_outstanding",
 		"Tasks currently leased to an agent.",
-		func() float64 { return float64(q.Stats().Leased) })
+		func() float64 { return float64(stats().Leased) })
 }

@@ -46,32 +46,22 @@ type PlanConfig struct {
 	// MaxTasksPerNode caps windows assigned to one node per pass. Zero
 	// means 4.
 	MaxTasksPerNode int
-	// StaleAfter is the age at which a node's calibration counts as fully
-	// stale; staleness saturates there. Zero means
-	// calib.DefaultMaxReportAge — the same bound the marketplace uses to
-	// stop trusting a report.
-	StaleAfter time.Duration
-	// MinYield drops candidate windows whose discounted yield falls
-	// below it: measuring an empty sky wastes the duty budget.
+	// MinYield drops picked windows whose discounted yield falls below
+	// it: measuring an empty sky wastes the duty budget.
 	MinYield float64
-	// TaskGrace is how long past its window start a task stays
-	// executable before the queue expires it. Zero means one hour.
-	TaskGrace time.Duration
-	// Campaign is the per-task measurement template. The planner
-	// constructs campaign configs programmatically, so it fails fast on
-	// nonsense parameters via CampaignConfig.Validate instead of letting
-	// a misconfigured fleet burn measurement windows. Zero fields get
-	// conventional defaults (1 run, WindowLength spacing, 60 aircraft,
-	// 100 km radius).
-	Campaign calib.CampaignConfig
 }
 
+// taskGrace is how long past its window a task stays executable before
+// the queue expires it.
+const taskGrace = time.Hour
+
 // Plan turns fleet state plus the forecast into prioritized measurement
-// tasks: every node gets its highest-yield windows (discounted for
-// sectors it already covered), bounded by its duty budget, and the
-// result is ordered by priority — staleness × yield — so the stalest
-// node's best windows dispatch first. The output is deterministic for a
-// fixed forecaster state and fleet.
+// tasks. Each node's windows are picked by calib.PlanMeasurements — the
+// same §5 picker a free-running agent uses — on its site's learned
+// forecast, with as many windows as MaxTasksPerNode and its duty budget
+// allow. The result is ordered by priority — staleness × yield — so the
+// stalest node's best windows dispatch first. The output is
+// deterministic for a fixed forecaster state and fleet.
 func Plan(f *Forecaster, nodes []NodeState, cfg PlanConfig) ([]Task, error) {
 	if cfg.Now.IsZero() {
 		return nil, fmt.Errorf("sched: plan needs an anchor time")
@@ -85,96 +75,53 @@ func Plan(f *Forecaster, nodes []NodeState, cfg PlanConfig) ([]Task, error) {
 	if cfg.MaxTasksPerNode <= 0 {
 		cfg.MaxTasksPerNode = 4
 	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = calib.DefaultMaxReportAge
-	}
-	if cfg.TaskGrace <= 0 {
-		cfg.TaskGrace = time.Hour
-	}
-	campaign := cfg.Campaign
-	if campaign.Runs == 0 {
-		campaign.Runs = 1
-	}
-	if campaign.Spacing == 0 {
-		campaign.Spacing = cfg.WindowLength
-	}
-	if campaign.Aircraft == 0 {
-		campaign.Aircraft = 60
-	}
-	if campaign.RadiusM == 0 {
-		campaign.RadiusM = 100_000
-	}
-	if err := campaign.Validate(); err != nil {
-		return nil, fmt.Errorf("sched: campaign template: %w", err)
-	}
-
-	// Candidate slots: the full hours inside the horizon.
-	var slots []time.Time
-	for t := cfg.Now.Truncate(time.Hour); t.Before(cfg.Now.Add(cfg.Horizon)); t = t.Add(time.Hour) {
-		if t.Before(cfg.Now) {
-			continue
-		}
-		slots = append(slots, t)
-	}
-	if len(slots) == 0 {
-		return nil, fmt.Errorf("sched: horizon %s from %s contains no full hours", cfg.Horizon, cfg.Now)
-	}
 
 	// Sort the fleet by node ID so ties resolve identically across runs.
 	ordered := append([]NodeState(nil), nodes...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Node < ordered[j].Node })
 
+	forecasts := make(map[string]calib.TrafficForecast)
 	var tasks []Task
 	for _, n := range ordered {
-		stale := stalenessFactor(n, cfg.Now, cfg.StaleAfter)
-		type cand struct {
-			start time.Time
-			yield Yield
-			eff   float64
+		windows := cfg.MaxTasksPerNode
+		if n.DutyBudget > 0 {
+			windows = min(windows, int(n.DutyBudget/cfg.WindowLength))
 		}
-		var cands []cand
-		for _, s := range slots {
-			y := f.Predict(n.Site, s)
-			eff := discountCovered(y, n.Covered)
-			if eff < cfg.MinYield {
+		if windows == 0 {
+			continue
+		}
+		fc, ok := forecasts[n.Site]
+		if !ok {
+			fc = f.TrafficForecast(n.Site)
+			forecasts[n.Site] = fc
+		}
+		picks, err := calib.PlanMeasurements(calib.ScheduleConfig{
+			Forecast:       fc,
+			From:           cfg.Now,
+			Horizon:        cfg.Horizon,
+			Windows:        windows,
+			WindowLength:   cfg.WindowLength,
+			CoveredSectors: n.Covered,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("sched: node %s: %w", n.Node, err)
+		}
+		stale := stalenessFactor(n, cfg.Now)
+		for _, w := range picks {
+			if w.InfoGain < cfg.MinYield {
 				continue
 			}
-			cands = append(cands, cand{start: s, yield: y, eff: eff})
-		}
-		// Best yield first; earlier start breaks ties so a flat forecast
-		// still schedules promptly.
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].eff != cands[j].eff {
-				return cands[i].eff > cands[j].eff
-			}
-			return cands[i].start.Before(cands[j].start)
-		})
-		budget := n.DutyBudget
-		limited := n.DutyBudget > 0
-		taken := 0
-		for _, c := range cands {
-			if taken >= cfg.MaxTasksPerNode {
-				break
-			}
-			cost := time.Duration(campaign.Runs) * cfg.WindowLength
-			if limited && cost > budget {
-				break
-			}
 			tasks = append(tasks, Task{
-				ID:               TaskID(n.Node, c.start),
+				ID:               TaskID(n.Node, w.Start),
 				Node:             n.Node,
 				Site:             n.Site,
-				Start:            c.start,
+				Start:            w.Start,
 				Duration:         cfg.WindowLength,
-				Runs:             campaign.Runs,
-				ExpectedAircraft: c.yield.ExpectedAircraft,
-				Priority:         stale * c.eff,
-				NotAfter:         c.start.Add(cfg.WindowLength + cfg.TaskGrace),
+				Runs:             1,
+				ExpectedAircraft: w.ExpectedAircraft,
+				Priority:         stale * w.InfoGain,
+				NotAfter:         w.Start.Add(cfg.WindowLength + taskGrace),
 			})
-			taken++
-			if limited {
-				budget -= cost
-			}
 		}
 	}
 	// Global dispatch order: stalest-node × highest-yield first, with
@@ -193,9 +140,11 @@ func Plan(f *Forecaster, nodes []NodeState, cfg PlanConfig) ([]Task, error) {
 
 // stalenessFactor maps a node's calibration age onto [0.1, 1]: fresh
 // nodes keep a floor (coverage still decays) while nodes at or past
-// StaleAfter — or that never reported at all — saturate at 1 and
+// calib.DefaultMaxReportAge — the bound the marketplace uses to stop
+// trusting a report — or that never reported at all saturate at 1 and
 // dominate the dispatch order.
-func stalenessFactor(n NodeState, now time.Time, staleAfter time.Duration) float64 {
+func stalenessFactor(n NodeState, now time.Time) float64 {
+	const staleAfter = calib.DefaultMaxReportAge
 	age := staleAfter // "never" is fully stale
 	if !n.LastReport.IsZero() {
 		age = now.Sub(n.LastReport)
@@ -213,28 +162,4 @@ func stalenessFactor(n NodeState, now time.Time, staleAfter time.Duration) float
 		frac = 0
 	}
 	return 0.1 + 0.9*frac
-}
-
-// discountCovered reduces a window's yield by the share of its traffic
-// flying through sectors the node already measured confidently (the same
-// 0.8 discount calib.PlanMeasurements applies).
-func discountCovered(y Yield, covered [12]bool) float64 {
-	var total, coveredShare float64
-	for b, c := range y.PerSector {
-		total += c
-		if covered[b] {
-			coveredShare += c
-		}
-	}
-	if total <= 0 {
-		// No sector detail: fall back to the covered-count fraction.
-		n := 0
-		for _, c := range covered {
-			if c {
-				n++
-			}
-		}
-		return y.ExpectedAircraft * (1 - 0.8*float64(n)/12)
-	}
-	return y.ExpectedAircraft * (1 - 0.8*coveredShare/total)
 }

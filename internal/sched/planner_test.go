@@ -1,11 +1,14 @@
 package sched
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
-	"sensorcal/internal/calib"
+	"sensorcal/internal/trust"
 )
 
 // fixtureForecaster trains a forecaster on a fixed density profile
@@ -13,7 +16,7 @@ import (
 // bank (40 aircraft), hour 16 a smaller evening one (20), every other
 // hour nearly empty (1).
 func fixtureForecaster() *Forecaster {
-	f := NewForecaster(ForecastConfig{})
+	f := NewForecaster()
 	day := time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)
 	for d := 0; d < 2; d++ {
 		for hour := 0; hour < 24; hour++ {
@@ -130,18 +133,6 @@ func TestPlanRespectsDutyBudgetAndCoverageDiscount(t *testing.T) {
 	}
 }
 
-func TestPlanRejectsBadCampaignTemplate(t *testing.T) {
-	f := fixtureForecaster()
-	now := time.Date(2026, 7, 8, 0, 0, 0, 0, time.UTC)
-	_, err := Plan(f, []NodeState{{Node: "n1", Site: "rooftop"}}, PlanConfig{
-		Now:      now,
-		Campaign: calib.CampaignConfig{Runs: -3},
-	})
-	if err == nil {
-		t.Fatalf("negative campaign runs must fail the plan")
-	}
-}
-
 func TestTaskCampaignValidates(t *testing.T) {
 	task := Task{ID: "n@x", Node: "n", Start: time.Date(2026, 7, 8, 8, 0, 0, 0, time.UTC), Duration: 30 * time.Second}
 	if _, err := task.Campaign(nil, 60, -5, 1); err == nil {
@@ -151,19 +142,188 @@ func TestTaskCampaignValidates(t *testing.T) {
 
 func TestStalenessFactorBounds(t *testing.T) {
 	now := time.Date(2026, 7, 8, 0, 0, 0, 0, time.UTC)
-	stale := 24 * time.Hour
-	if got := stalenessFactor(NodeState{}, now, stale); got != 1 {
+	if got := stalenessFactor(NodeState{}, now); got != 1 {
 		t.Fatalf("never-seen node factor = %v, want 1", got)
 	}
-	if got := stalenessFactor(NodeState{LastReport: now}, now, stale); got != 0.1 {
+	if got := stalenessFactor(NodeState{LastReport: now}, now); got != 0.1 {
 		t.Fatalf("just-reported node factor = %v, want floor 0.1", got)
 	}
 	// The staler of report and reading drives the factor.
 	got := stalenessFactor(NodeState{
 		LastReport:  now.Add(-1 * time.Hour),
 		LastReading: now.Add(-24 * time.Hour),
-	}, now, stale)
+	}, now)
 	if got != 1 {
 		t.Fatalf("stalest signal must dominate: %v, want 1", got)
+	}
+}
+
+// planCase is one random planning problem: a trained forecaster, a
+// fleet and a pass configuration.
+type planCase struct {
+	f     *Forecaster
+	nodes []NodeState
+	cfg   PlanConfig
+}
+
+// buildPlanCase draws a planning problem from next, which yields one
+// byte at a time (zero once exhausted): up to three sites trained on up
+// to 64 snapshots at random hours, some hours left empty so the site
+// fallback is exercised; up to eight nodes with random staleness,
+// covered sectors and duty budgets, some on an untrained site; a
+// horizon of 1–24 h from any minute.
+func buildPlanCase(next func() byte) planCase {
+	sites := []string{"rooftop", "window", "basement", "unknown"}
+	base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+	f := NewForecaster()
+	nsites := 1 + int(next())%3
+	for i, snaps := 0, int(next())%65; i < snaps; i++ {
+		at := base.Add(time.Duration(next()%7)*24*time.Hour + time.Duration(next()%24)*time.Hour)
+		bearings := make([]float64, int(next())%24)
+		for j := range bearings {
+			bearings[j] = float64(next()) * 360 / 256
+		}
+		f.Observe(sites[int(next())%nsites], at, testCenter, flightsAt(testCenter, bearings...))
+	}
+	now := base.Add(7*24*time.Hour + time.Duration(int(next())<<8|int(next()))*time.Minute)
+	windows := []time.Duration{30 * time.Second, 45 * time.Second, time.Minute, 7 * time.Second}
+	cfg := PlanConfig{
+		Now:             now,
+		Horizon:         time.Duration(60+(int(next())<<8|int(next()))%1381) * time.Minute,
+		WindowLength:    windows[next()%4],
+		MaxTasksPerNode: int(next()) % 7,
+		MinYield:        float64(next()%32) / 4,
+	}
+	if next()%4 == 0 {
+		cfg.MinYield = 0
+	}
+	nodes := make([]NodeState, 1+int(next())%8)
+	for i := range nodes {
+		n := NodeState{
+			Node: trust.NodeID(fmt.Sprintf("node-%d", next()%16)),
+			Site: sites[int(next())%(nsites+1)],
+		}
+		if b := next(); b%3 != 0 {
+			n.LastReport = now.Add(-time.Duration(b) * 10 * time.Minute)
+		}
+		if b := next(); b%3 != 0 {
+			n.LastReading = now.Add(-time.Duration(b) * 10 * time.Minute)
+		}
+		cov := int(next())<<8 | int(next())
+		for s := range n.Covered {
+			n.Covered[s] = cov>>s&1 == 1
+		}
+		if b := next(); b%2 == 0 {
+			n.DutyBudget = time.Duration(b) * 5 * time.Second
+		}
+		nodes[i] = n
+	}
+	return planCase{f: f, nodes: nodes, cfg: cfg}
+}
+
+// diffTasks reports the first difference between two plans, comparing
+// the float64 fields bit for bit; "" means identical.
+func diffTasks(got, want []Task) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d tasks, want %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if math.Float64bits(g.ExpectedAircraft) != math.Float64bits(w.ExpectedAircraft) ||
+			math.Float64bits(g.Priority) != math.Float64bits(w.Priority) {
+			return fmt.Sprintf("task %d: yield/priority %v/%v, want %v/%v", i, g.ExpectedAircraft, g.Priority, w.ExpectedAircraft, w.Priority)
+		}
+		g.ExpectedAircraft, g.Priority = w.ExpectedAircraft, w.Priority
+		if !reflect.DeepEqual(g, w) {
+			return fmt.Sprintf("task %d: %+v, want %+v", i, got[i], w)
+		}
+	}
+	return ""
+}
+
+// checkPlanMatchesOracle plans c with Plan and with the body it replaced
+// and returns how many tasks they agreed on.
+func checkPlanMatchesOracle(t testing.TB, c planCase) int {
+	t.Helper()
+	got, err := Plan(c.f, c.nodes, c.cfg)
+	if err != nil {
+		t.Fatalf("Plan: %v", err)
+	}
+	want, err := oraclePlan(c.f, c.nodes, oraclePlanConfig{
+		Now:             c.cfg.Now,
+		Horizon:         c.cfg.Horizon,
+		WindowLength:    c.cfg.WindowLength,
+		MaxTasksPerNode: c.cfg.MaxTasksPerNode,
+		MinYield:        c.cfg.MinYield,
+	})
+	if err != nil {
+		t.Fatalf("oraclePlan: %v", err)
+	}
+	if d := diffTasks(got, want); d != "" {
+		t.Fatalf("Plan differs from the oracle (now %s, horizon %s, cfg %+v): %s", c.cfg.Now, c.cfg.Horizon, c.cfg, d)
+	}
+	return len(got)
+}
+
+// TestPlanMatchesOracle pins Plan, which picks windows with
+// calib.PlanMeasurements, against the planner that ranked hours itself:
+// over 400 seeded fleets and forecasters with horizons of 1–24 h, the
+// same tasks in the same order with the same float64 bits.
+func TestPlanMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	next := func() byte { return byte(rng.Intn(256)) }
+	fleets, tasks := 400, 0
+	if testing.Short() {
+		fleets = 100
+	}
+	for i := 0; i < fleets; i++ {
+		tasks += checkPlanMatchesOracle(t, buildPlanCase(next))
+	}
+	t.Logf("%d fleets, %d tasks identical", fleets, tasks)
+	if tasks < fleets {
+		t.Fatalf("only %d tasks over %d fleets: the cases exercise too little", tasks, fleets)
+	}
+}
+
+func FuzzPlanMatchesOracle(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x02\x30rooftop-window-basement\xff\x00\x10\x80"))
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		seed := make([]byte, 256)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		checkPlanMatchesOracle(t, buildPlanCase(next))
+	})
+}
+
+// TestPlanSpreadsLongHorizonOverHoursOfDay pins the one behaviour the
+// shared picker changed: over a horizon longer than a day, a node's
+// windows land on distinct hours of day instead of the best hour on
+// every day.
+func TestPlanSpreadsLongHorizonOverHoursOfDay(t *testing.T) {
+	f := fixtureForecaster()
+	now := time.Date(2026, 7, 8, 0, 0, 0, 0, time.UTC)
+	tasks, err := Plan(f, []NodeState{{Node: "n1", Site: "rooftop"}}, PlanConfig{
+		Now: now, Horizon: 48 * time.Hour, MaxTasksPerNode: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) != 2 || tasks[0].Start.Hour() == tasks[1].Start.Hour() {
+		t.Fatalf("48 h plan = %+v, want two windows at different hours of day", tasks)
+	}
+	if tasks[0].Start.Hour() != 8 || tasks[1].Start.Hour() != 16 {
+		t.Fatalf("48 h plan picked hours %d and %d, want the 8 and 16 banks", tasks[0].Start.Hour(), tasks[1].Start.Hour())
 	}
 }

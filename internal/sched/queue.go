@@ -2,10 +2,8 @@ package sched
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sensorcal/internal/clock"
@@ -15,16 +13,10 @@ import (
 
 // QueueConfig assembles a Queue.
 type QueueConfig struct {
-	// Shards partitions the task table so lease/complete traffic from a
-	// large fleet does not serialize on one lock. Zero means 8.
-	Shards int
 	// LeaseTTL is the grace a worker gets past its task's scheduled
 	// window end (or past the lease grant, for already-due tasks) before
 	// the lease expires and the task requeues. Zero means 2 m.
 	LeaseTTL time.Duration
-	// DoneCap bounds the per-shard memory of completed task IDs kept for
-	// duplicate detection (oldest forgotten first). Zero means 4096.
-	DoneCap int
 	// Clock drives deadlines; nil means the wall clock. Tests drive a
 	// clock.Simulated through lease expiry instantly.
 	Clock clock.Clock
@@ -33,16 +25,26 @@ type QueueConfig struct {
 	Metrics *obs.Registry
 }
 
-// Queue is a sharded lease-based work queue. Adding is idempotent by
-// task ID, leases carry deadlines, expired leases requeue, and
-// completion is exactly-once: duplicates and stale tokens are detected,
-// never double-counted.
+// doneCap bounds the memory of completed task IDs kept for duplicate
+// detection; the oldest is forgotten first.
+const doneCap = 32768
+
+// Queue is a lease-based work queue behind one lock. Adding is
+// idempotent by task ID, leases carry deadlines, expired leases requeue,
+// and completion is exactly-once: duplicates and stale tokens are
+// detected, never double-counted.
 type Queue struct {
-	cfg    QueueConfig
-	clk    clock.Clock
-	shards []*qshard
-	tokens atomic.Uint64
-	m      *queueMetrics
+	cfg QueueConfig
+	clk clock.Clock
+	m   *queueMetrics
+
+	mu      sync.Mutex
+	entries map[string]*qentry
+	// done remembers completed task IDs (FIFO-bounded) so a re-planned
+	// or re-completed task is recognized instead of re-executed.
+	done     map[string]struct{}
+	doneFIFO []string
+	tokens   uint64
 }
 
 type taskState int
@@ -62,45 +64,24 @@ type qentry struct {
 	attempts int
 }
 
-type qshard struct {
-	mu      sync.Mutex
-	entries map[string]*qentry
-	// done remembers completed task IDs (FIFO-bounded) so a re-planned
-	// or re-completed task is recognized instead of re-executed.
-	done     map[string]struct{}
-	doneFIFO []string
-}
-
 // NewQueue returns an empty queue.
 func NewQueue(cfg QueueConfig) *Queue {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 2 * time.Minute
-	}
-	if cfg.DoneCap <= 0 {
-		cfg.DoneCap = 4096
 	}
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.System{}
 	}
-	q := &Queue{cfg: cfg, clk: clk, m: newQueueMetrics(cfg.Metrics)}
-	for i := 0; i < cfg.Shards; i++ {
-		q.shards = append(q.shards, &qshard{
-			entries: make(map[string]*qentry),
-			done:    make(map[string]struct{}),
-		})
+	q := &Queue{
+		cfg:     cfg,
+		clk:     clk,
+		m:       newQueueMetrics(cfg.Metrics),
+		entries: make(map[string]*qentry),
+		done:    make(map[string]struct{}),
 	}
-	q.m.registerDepth(cfg.Metrics, q)
+	q.m.registerDepth(cfg.Metrics, q.Stats)
 	return q
-}
-
-func (q *Queue) shard(id string) *qshard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return q.shards[h.Sum32()%uint32(len(q.shards))]
 }
 
 // Add enqueues tasks, skipping any whose ID is already pending, leased
@@ -113,21 +94,19 @@ func (q *Queue) Add(tasks ...Task) (int, error) {
 		}
 	}
 	now := q.clk.Now()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	added := 0
 	for _, t := range tasks {
-		s := q.shard(t.ID)
-		s.mu.Lock()
-		_, exists := s.entries[t.ID]
-		_, completed := s.done[t.ID]
-		if !exists && !completed {
-			s.entries[t.ID] = &qentry{task: t, enqueued: now}
-			added++
+		_, exists := q.entries[t.ID]
+		_, completed := q.done[t.ID]
+		if exists || completed {
+			continue
 		}
-		s.mu.Unlock()
-		if !exists && !completed {
-			q.m.enqueued.Inc()
-			q.m.forecastYield.Observe(t.ExpectedAircraft)
-		}
+		q.entries[t.ID] = &qentry{task: t, enqueued: now}
+		added++
+		q.m.enqueued.Inc()
+		q.m.forecastYield.Observe(t.ExpectedAircraft)
 	}
 	return added, nil
 }
@@ -149,56 +128,38 @@ func (q *Queue) Lease(node trust.NodeID, max int) []Lease {
 		max = 1
 	}
 	now := q.clk.Now()
-	q.expire(now)
-	// Phase 1: collect candidate IDs under per-shard locks.
-	type cand struct {
-		id       string
-		start    time.Time
-		priority float64
-	}
-	var cands []cand
-	for _, s := range q.shards {
-		s.mu.Lock()
-		for id, e := range s.entries {
-			if e.state == statePending && e.task.Node == node {
-				cands = append(cands, cand{id: id, start: e.task.Start, priority: e.task.Priority})
-			}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.expireLocked(now)
+	var cands []*qentry
+	for _, e := range q.entries {
+		if e.state == statePending && e.task.Node == node {
+			cands = append(cands, e)
 		}
-		s.mu.Unlock()
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		if !cands[i].start.Equal(cands[j].start) {
-			return cands[i].start.Before(cands[j].start)
+		a, b := cands[i].task, cands[j].task
+		if !a.Start.Equal(b.Start) {
+			return a.Start.Before(b.Start)
 		}
-		if cands[i].priority != cands[j].priority {
-			return cands[i].priority > cands[j].priority
+		if a.Priority != b.Priority {
+			return a.Priority > b.Priority
 		}
-		return cands[i].id < cands[j].id
+		return a.ID < b.ID
 	})
-	// Phase 2: re-lock each candidate's shard and lease if still pending.
 	var out []Lease
-	for _, c := range cands {
-		if len(out) >= max {
-			break
-		}
-		s := q.shard(c.id)
-		s.mu.Lock()
-		e, ok := s.entries[c.id]
-		if !ok || e.state != statePending {
-			s.mu.Unlock()
-			continue
-		}
+	for _, e := range cands[:min(max, len(cands))] {
 		deadline := now.Add(q.cfg.LeaseTTL)
 		if end := e.task.Start.Add(e.task.Duration); end.After(now) {
 			deadline = end.Add(q.cfg.LeaseTTL)
 		}
+		q.tokens++
 		e.state = stateLeased
-		e.token = fmt.Sprintf("%s-%d", node, q.tokens.Add(1))
+		e.token = fmt.Sprintf("%s-%d", node, q.tokens)
 		e.deadline = deadline
 		e.leasedAt = now
 		e.attempts++
 		out = append(out, Lease{Task: e.task, Token: e.token, Deadline: deadline})
-		s.mu.Unlock()
 		q.m.leased.Inc()
 	}
 	return out
@@ -237,22 +198,26 @@ func (e *ConflictError) Error() string {
 // ConflictError and the new holder's completion is the one that counts.
 func (q *Queue) Complete(id, token string) (CompleteStatus, error) {
 	now := q.clk.Now()
-	s := q.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.done[id]; ok {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if _, ok := q.done[id]; ok {
 		q.m.duplicates.Inc()
 		return Duplicate, nil
 	}
-	e, ok := s.entries[id]
+	e, ok := q.entries[id]
 	if !ok {
 		return 0, &NotFoundError{ID: id}
 	}
 	if e.token == "" || e.token != token {
 		return 0, &ConflictError{ID: id}
 	}
-	delete(s.entries, id)
-	s.rememberDoneLocked(id, q.cfg.DoneCap)
+	delete(q.entries, id)
+	if len(q.doneFIFO) == doneCap {
+		delete(q.done, q.doneFIFO[0])
+		q.doneFIFO = q.doneFIFO[1:]
+	}
+	q.done[id] = struct{}{}
+	q.doneFIFO = append(q.doneFIFO, id)
 	q.m.completed.Inc()
 	if !e.leasedAt.IsZero() {
 		q.m.leaseAge.Observe(now.Sub(e.leasedAt).Seconds())
@@ -261,41 +226,30 @@ func (q *Queue) Complete(id, token string) (CompleteStatus, error) {
 	return Completed, nil
 }
 
-func (s *qshard) rememberDoneLocked(id string, cap int) {
-	for len(s.doneFIFO) >= cap {
-		delete(s.done, s.doneFIFO[0])
-		s.doneFIFO = s.doneFIFO[1:]
-	}
-	s.done[id] = struct{}{}
-	s.doneFIFO = append(s.doneFIFO, id)
-}
-
 // ExpireLeases requeues every lease whose deadline passed and drops
 // tasks past their NotAfter, returning (requeued, dropped). Lease runs
 // the same sweep, so calling this is only needed for its metrics and in
 // tests driving a simulated clock.
 func (q *Queue) ExpireLeases(now time.Time) (requeued, dropped int) {
-	return q.expire(now)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.expireLocked(now)
 }
 
-func (q *Queue) expire(now time.Time) (requeued, dropped int) {
-	for _, s := range q.shards {
-		s.mu.Lock()
-		for id, e := range s.entries {
-			if !e.task.NotAfter.IsZero() && now.After(e.task.NotAfter) {
-				delete(s.entries, id)
-				dropped++
-				continue
-			}
-			if e.state == stateLeased && now.After(e.deadline) {
-				// Requeue; the token stays recorded so a late completion
-				// from the previous holder is still honoured until the
-				// task is re-leased.
-				e.state = statePending
-				requeued++
-			}
+func (q *Queue) expireLocked(now time.Time) (requeued, dropped int) {
+	for id, e := range q.entries {
+		if !e.task.NotAfter.IsZero() && now.After(e.task.NotAfter) {
+			delete(q.entries, id)
+			dropped++
+			continue
 		}
-		s.mu.Unlock()
+		if e.state == stateLeased && now.After(e.deadline) {
+			// Requeue; the token stays recorded so a late completion
+			// from the previous holder is still honoured until the
+			// task is re-leased.
+			e.state = statePending
+			requeued++
+		}
 	}
 	q.m.requeued.Add(float64(requeued))
 	q.m.expired.Add(float64(dropped))
@@ -312,19 +266,16 @@ type QueueStats struct {
 
 // Stats summarizes the queue.
 func (q *Queue) Stats() QueueStats {
-	var st QueueStats
-	for _, s := range q.shards {
-		s.mu.Lock()
-		for _, e := range s.entries {
-			switch e.state {
-			case statePending:
-				st.Pending++
-			case stateLeased:
-				st.Leased++
-			}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	st := QueueStats{Done: len(q.done)}
+	for _, e := range q.entries {
+		switch e.state {
+		case statePending:
+			st.Pending++
+		case stateLeased:
+			st.Leased++
 		}
-		st.Done += len(s.done)
-		s.mu.Unlock()
 	}
 	return st
 }

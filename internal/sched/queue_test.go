@@ -2,6 +2,9 @@ package sched
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,5 +195,91 @@ func TestQueueDropsTasksPastNotAfter(t *testing.T) {
 	}
 	if got := q.Lease("n1", 1); len(got) != 0 {
 		t.Fatalf("dead window still leased: %+v", got)
+	}
+}
+
+// TestQueueMatchesOracle drives the one-lock Queue and the sharded queue
+// it replaced through the same seeded Add / Lease / Complete /
+// ExpireLeases / clock-step sequences and requires every return value,
+// token, Stats and metric to agree. Completions stay under the old
+// per-shard done memory, so neither queue forgets a completed ID.
+func TestQueueMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		start := time.Date(2026, 7, 8, 8, 0, 0, 0, time.UTC)
+		sim := clock.NewSimulated(start)
+		regNew, regOld := obs.NewRegistry(), obs.NewRegistry()
+		q := NewQueue(QueueConfig{LeaseTTL: 2 * time.Minute, Clock: sim, Metrics: regNew})
+		o := newOracleQueue(oracleQueueConfig{LeaseTTL: 2 * time.Minute, Clock: sim, Metrics: regOld})
+		nodes := []trust.NodeID{"n1", "n2", "n3"}
+		var leases []Lease
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 3:
+				var tasks []Task
+				for i := rng.Intn(4); i >= 0; i-- {
+					task := testTask(nodes[rng.Intn(len(nodes))], start.Add(time.Duration(rng.Intn(48))*5*time.Minute))
+					task.Priority = float64(rng.Intn(3))
+					task.ExpectedAircraft = float64(rng.Intn(40))
+					if rng.Intn(2) == 0 {
+						task.NotAfter = task.Start.Add(time.Duration(rng.Intn(90)) * time.Minute)
+					}
+					if rng.Intn(20) == 0 {
+						task.Duration = 0 // invalid: the whole Add is refused
+					}
+					tasks = append(tasks, task)
+				}
+				n1, err1 := q.Add(tasks...)
+				n2, err2 := o.Add(tasks...)
+				if n1 != n2 || (err1 == nil) != (err2 == nil) {
+					t.Fatalf("seed %d step %d: Add = (%d, %v), oracle (%d, %v)", seed, step, n1, err1, n2, err2)
+				}
+			case op < 6:
+				node, max := nodes[rng.Intn(len(nodes))], rng.Intn(4)
+				got, want := q.Lease(node, max), o.Lease(node, max)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: Lease = %+v, oracle %+v", seed, step, got, want)
+				}
+				leases = append(leases, got...)
+			case op < 8:
+				id, token := "ghost", "tok"
+				if len(leases) > 0 {
+					l := leases[rng.Intn(len(leases))]
+					id, token = l.Task.ID, l.Token
+					if rng.Intn(8) == 0 {
+						token = "forged"
+					}
+				}
+				s1, err1 := q.Complete(id, token)
+				s2, err2 := o.Complete(id, token)
+				if s1 != s2 || !reflect.DeepEqual(err1, err2) {
+					t.Fatalf("seed %d step %d: Complete = (%v, %v), oracle (%v, %v)", seed, step, s1, err1, s2, err2)
+				}
+			case op < 9:
+				r1, d1 := q.ExpireLeases(sim.Now())
+				r2, d2 := o.ExpireLeases(sim.Now())
+				if r1 != r2 || d1 != d2 {
+					t.Fatalf("seed %d step %d: ExpireLeases = (%d, %d), oracle (%d, %d)", seed, step, r1, d1, r2, d2)
+				}
+			default:
+				sim.Advance(time.Duration(rng.Intn(15)) * time.Minute)
+			}
+			if got, want := q.Stats(), o.Stats(); got != want {
+				t.Fatalf("seed %d step %d: Stats = %+v, oracle %+v", seed, step, got, want)
+			}
+		}
+		var bNew, bOld strings.Builder
+		if err := regNew.WritePrometheus(&bNew); err != nil {
+			t.Fatal(err)
+		}
+		if err := regOld.WritePrometheus(&bOld); err != nil {
+			t.Fatal(err)
+		}
+		if bNew.String() != bOld.String() {
+			t.Fatalf("seed %d: metrics differ:\n%s\noracle:\n%s", seed, bNew.String(), bOld.String())
+		}
+		if seed == 1 {
+			t.Logf("seed 1 ends at %+v after %d leases", q.Stats(), len(leases))
+		}
 	}
 }

@@ -10,11 +10,13 @@
 //
 //   - Forecaster: folds fr24/flightsim traffic snapshots into a per-site
 //     sliding-window histogram (hour-of-day × 30° bearing sector) and
-//     predicts the expected new-aircraft yield of a candidate window.
+//     exports it as a calib.TrafficForecast.
 //   - Plan: turns fleet state (trust evidence age, calibration report
 //     staleness, per-node duty budget) plus the forecast into prioritized
-//     measurement tasks — high-yield windows for the stalest nodes first.
-//   - Queue: a sharded lease-based work queue with deadlines,
+//     measurement tasks. calib.PlanMeasurements, the picker a
+//     free-running agent uses, chooses each node's windows; Plan orders
+//     them so the stalest nodes' high-yield windows dispatch first.
+//   - Queue: a one-lock lease-based work queue with deadlines,
 //     requeue-on-expiry and idempotent completion, served over HTTP by
 //     cmd/schedd and consumed by agents through Client (retry + breaker).
 //

@@ -188,9 +188,6 @@ func New(cfg Config) (_ *Daemon, err error) {
 		}); err != nil {
 			return nil, fmt.Errorf("stream service: %w", err)
 		}
-		// An open aggregation breaker means frames are being shed at the
-		// door: take the daemon out of rotation until it heals.
-		d.health.AddCheck("stream", func() bool { return !d.stream.Degraded() })
 		d.log.Infof("streaming spectrum service on /api/stream (fft %d, queue %d, band %s)",
 			cfg.StreamFFT, cfg.StreamQueue, cfg.StreamBand)
 	}

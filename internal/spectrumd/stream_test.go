@@ -25,7 +25,7 @@ func toneIQ(n int) []complex128 {
 
 // TestDaemonMountsStreamRoutes pins the full mount: the streaming routes
 // carve out of /api/ without shadowing the trust API, frames flow
-// through to the occupancy grid, and /readyz reflects the stream check.
+// through to the occupancy grid, and the daemon stays ready.
 func TestDaemonMountsStreamRoutes(t *testing.T) {
 	d, _ := newTestDaemon(t, time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC),
 		Config{Stream: true, StreamFFT: 128, StreamBand: "500e6:700e6"})
@@ -87,14 +87,14 @@ func TestDaemonMountsStreamRoutes(t *testing.T) {
 		t.Fatal("occupancy empty after folded frames")
 	}
 
-	// Healthy stream = ready daemon.
+	// Streaming frames leaves the daemon ready.
 	resp, err = http.Get(srv.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz with healthy stream: %d", resp.StatusCode)
+		t.Fatalf("readyz after streamed frames: %d", resp.StatusCode)
 	}
 }
 

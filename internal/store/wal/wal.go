@@ -49,10 +49,6 @@ type Options struct {
 	FS FS
 	// Metrics receives WAL instrumentation; nil means unmetered.
 	Metrics *Metrics
-	// NoSyncOnAppend skips the per-append fsync. Only the bench harness
-	// sets this, to price durability; production appends are synchronous
-	// because an unsynced acknowledgment is a lie.
-	NoSyncOnAppend bool
 }
 
 // RecoveryStats reports what Open found on disk.
@@ -209,7 +205,7 @@ func (w *WAL) scanSegment(seq uint64, fn func(payload []byte) error) (good int64
 }
 
 // Append durably stores one record. When Append returns nil the record
-// has been written and (unless NoSyncOnAppend) fsynced: a power cut at
+// has been written and fsynced: a power cut at
 // any later instant cannot lose it. On error the record is NOT durable;
 // the tail is repaired — truncated back to the last acknowledged record
 // — before the next append, so a half-written frame can never be
@@ -236,17 +232,15 @@ func (w *WAL) Append(payload []byte) error {
 		w.m.recordAppendError()
 		return fmt.Errorf("store: appending record: %w", err)
 	}
-	if !w.opts.NoSyncOnAppend {
-		start := time.Now()
-		err := w.active.Sync()
-		w.m.recordFsync(time.Since(start), err)
-		if err != nil {
-			// The bytes may or may not have reached disk; either way the
-			// record was not acknowledged, so the repair truncates it away.
-			w.dirty = true
-			w.m.recordAppendError()
-			return fmt.Errorf("store: syncing record: %w", err)
-		}
+	start := time.Now()
+	err = w.active.Sync()
+	w.m.recordFsync(time.Since(start), err)
+	if err != nil {
+		// The bytes may or may not have reached disk; either way the
+		// record was not acknowledged, so the repair truncates it away.
+		w.dirty = true
+		w.m.recordAppendError()
+		return fmt.Errorf("store: syncing record: %w", err)
 	}
 	w.activeSize += int64(len(frame))
 	w.m.recordAppend(int64(len(frame)))
@@ -412,20 +406,6 @@ func (w *WAL) PruneThrough(seq uint64) error {
 		return fmt.Errorf("store: syncing wal dir after prune: %w", err)
 	}
 	return nil
-}
-
-// Sync forces an fsync of the active segment (a no-op burden when every
-// append already syncs; the escape hatch for NoSyncOnAppend runs).
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return fmt.Errorf("store: wal is closed")
-	}
-	start := time.Now()
-	err := w.active.Sync()
-	w.m.recordFsync(time.Since(start), err)
-	return err
 }
 
 // Close releases the tail segment handle. Records stay on disk and

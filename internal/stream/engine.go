@@ -18,7 +18,7 @@
 //     aggregation renters query through spectrumd's /api/occupancy;
 //   - Service schedules frame batches onto the internal/pipeline worker
 //     pool behind a bounded queue (backpressure sheds with 429 +
-//     Retry-After) and a breaker on the aggregation path.
+//     Retry-After).
 package stream
 
 import (

@@ -35,10 +35,8 @@ type GridConfig struct {
 	LowHz, HighHz float64
 	// BucketHz is the frequency bucket width. Zero means 1 MHz.
 	BucketHz float64
-	// Slot is the time bucket width. Zero means 10s.
-	Slot time.Duration
-	// Slots is the ring length. Zero means 60 (10 minutes of history at
-	// the default slot width).
+	// Slots is the ring length of slotWidth buckets. Zero means 60 (10
+	// minutes of history).
 	Slots int
 	// MarginDB is the occupancy threshold above the per-frame noise
 	// floor. Zero means 6 dB.
@@ -51,9 +49,6 @@ func (c *GridConfig) fill() {
 	}
 	if c.BucketHz <= 0 {
 		c.BucketHz = 1e6
-	}
-	if c.Slot <= 0 {
-		c.Slot = 10 * time.Second
 	}
 	if c.Slots <= 0 {
 		c.Slots = 60
@@ -80,6 +75,9 @@ type gridSlot struct {
 	_        [24]byte
 }
 
+// slotWidth is the grid's time bucket width.
+const slotWidth = 10 * time.Second
+
 // ErrOutOfBand is returned for frames that do not overlap the grid's
 // monitored band at all; the service counts them as shed, not failed.
 var ErrOutOfBand = errors.New("stream: frame outside the monitored band")
@@ -97,11 +95,8 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 	if nb > 1<<20 {
 		return nil, fmt.Errorf("stream: %d frequency buckets (band too wide for bucket width %g)", nb, cfg.BucketHz)
 	}
-	g := &Grid{cfg: cfg, buckets: nb, slotSec: int64(cfg.Slot / time.Second),
+	g := &Grid{cfg: cfg, buckets: nb, slotSec: int64(slotWidth / time.Second),
 		marginRatio: math.Pow(10, cfg.MarginDB/10), slots: make([]gridSlot, cfg.Slots)}
-	if g.slotSec < 1 {
-		g.slotSec = 1
-	}
 	for i := range g.slots {
 		g.slots[i].occ = make([]uint32, nb)
 		g.slots[i].bins = make([]uint32, nb)

@@ -189,9 +189,6 @@ func (s *Service) handleFrames(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(lastErr, ErrQueueFull) || errors.Is(lastErr, ErrSessionLimit):
 			s.retryAfterHeader(w)
 			status = http.StatusTooManyRequests
-		case errors.Is(lastErr, ErrDegraded):
-			s.retryAfterHeader(w)
-			status = http.StatusServiceUnavailable
 		default:
 			status = http.StatusBadRequest
 		}
@@ -242,7 +239,6 @@ type StatsResponse struct {
 	Evicted    int64         `json:"evicted"`
 	QueueDepth int           `json:"queue_depth"`
 	FFTSize    int           `json:"fft_size"`
-	Degraded   bool          `json:"degraded"`
 	Sensor     *SessionStats `json:"sensor,omitempty"`
 }
 
@@ -256,7 +252,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		Evicted:    s.table.Evicted(),
 		QueueDepth: s.QueueDepth(),
 		FFTSize:    s.cfg.FFTSize,
-		Degraded:   s.Degraded(),
 	}
 	if id := r.URL.Query().Get("sensor"); id != "" {
 		sess := s.table.Get(id)

@@ -33,7 +33,6 @@ const (
 	shedSessions  = "sessions"  // session table at capacity
 	shedMalformed = "malformed" // frame length/rate invalid
 	shedBand      = "band"      // frame outside the monitored band
-	shedDegraded  = "degraded"  // aggregation breaker open
 )
 
 func newServiceMetrics(reg *obs.Registry, table *SessionTable, queueDepth func() float64) *serviceMetrics {

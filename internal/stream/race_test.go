@@ -67,7 +67,6 @@ func TestConcurrentSessionChurn(t *testing.T) {
 				if sess := s.Sessions().Get("churn-0"); sess != nil {
 					_ = sess.Stats()
 				}
-				_ = s.Degraded()
 			}
 		}()
 	}

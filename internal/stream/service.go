@@ -12,7 +12,6 @@ import (
 	"sensorcal/internal/dsp"
 	"sensorcal/internal/obs"
 	"sensorcal/internal/pipeline"
-	"sensorcal/internal/resilience"
 )
 
 // Backpressure errors the HTTP layer maps onto status codes.
@@ -20,7 +19,9 @@ var (
 	// ErrQueueFull: the bounded frame queue is full; shed with 429 +
 	// Retry-After rather than queueing unboundedly.
 	ErrQueueFull = errors.New("stream: frame queue full")
-	// ErrDegraded: the aggregation breaker is open; shed with 503.
+	// ErrDegraded is never returned: the service has no failing
+	// aggregation path to shed on since the fold's inputs are validated at
+	// Ingest. It stays exported because the bench harness names it.
 	ErrDegraded = errors.New("stream: aggregation degraded")
 )
 
@@ -30,12 +31,8 @@ type Config struct {
 	// small frames bound queue memory at fleet scale (10k queued frames
 	// at 256 samples ≈ 40 MB, versus 2.5 GB at 16k).
 	FFTSize int
-	// Window is the analysis window. Nil means Hann.
-	Window dsp.WindowFunc
 	// MaxSessions bounds the session table. Zero means 16384.
 	MaxSessions int
-	// SessionStripes is the table's lock-stripe count. Zero means 16.
-	SessionStripes int
 	// IdleAfter evicts sessions quiet for this long. Zero means 60 s.
 	IdleAfter time.Duration
 	// SweepEvery is the eviction sweep period. Zero means IdleAfter/4.
@@ -50,9 +47,6 @@ type Config struct {
 	Workers int
 	// Grid shapes the occupancy aggregation.
 	Grid GridConfig
-	// Breaker guards the aggregation path. Nil means a default breaker
-	// (5 consecutive failures open it for 5 s).
-	Breaker *resilience.Breaker
 	// Registry receives the stream metrics. Nil means obs.Default().
 	Registry *obs.Registry
 	// Tracer receives the batch spans (stream.batch → stream.fft_batch /
@@ -143,14 +137,13 @@ var taskPool = sync.Pool{New: func() interface{} { return new(frameTask) }}
 // aggregates are max/sum/count behind the session mutex, and the metrics
 // are atomic — so any fold order produces the same surface.
 type Service struct {
-	cfg     Config
-	engine  *Engine
-	table   *SessionTable
-	grid    *Grid
-	exec    *pipeline.Executor
-	breaker *resilience.Breaker
-	clk     clock.Clock
-	m       *serviceMetrics
+	cfg    Config
+	engine *Engine
+	table  *SessionTable
+	grid   *Grid
+	exec   *pipeline.Executor
+	clk    clock.Clock
+	m      *serviceMetrics
 
 	queue     chan *frameTask
 	done      chan struct{}
@@ -160,15 +153,15 @@ type Service struct {
 
 	closeOnce sync.Once
 
-	// foldHook, when set by tests, replaces the grid fold outcome so the
-	// breaker path can be driven without breaking the grid.
+	// foldHook, when set by tests, replaces the grid fold outcome so a
+	// fold can be held open or failed without breaking the grid.
 	foldHook func() error
 }
 
 // NewService builds and starts a streaming service.
 func NewService(cfg Config) (*Service, error) {
 	cfg.fill()
-	eng, err := NewEngine(cfg.FFTSize, cfg.Window)
+	eng, err := NewEngine(cfg.FFTSize, dsp.Hann)
 	if err != nil {
 		return nil, err
 	}
@@ -176,22 +169,12 @@ func NewService(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := cfg.Breaker
-	if br == nil {
-		br = resilience.NewBreaker(resilience.BreakerConfig{
-			Name:             "stream_fold",
-			FailureThreshold: 5,
-			OpenFor:          5 * time.Second,
-			Clock:            cfg.Clock,
-		})
-	}
 	s := &Service{
 		cfg:     cfg,
 		engine:  eng,
-		table:   NewSessionTable(cfg.MaxSessions, cfg.SessionStripes),
+		table:   NewSessionTable(cfg.MaxSessions, 16),
 		grid:    grid,
 		exec:    pipeline.New(pipeline.Config{Workers: cfg.Workers}),
-		breaker: br,
 		clk:     cfg.Clock,
 		queue:   make(chan *frameTask, cfg.QueueCap),
 		done:    make(chan struct{}),
@@ -220,9 +203,10 @@ func (s *Service) Sessions() *SessionTable { return s.table }
 // RetryAfter returns the configured shed retry hint.
 func (s *Service) RetryAfter() time.Duration { return s.cfg.RetryAfter }
 
-// Degraded reports whether the aggregation breaker is not closed — the
-// /readyz signal.
-func (s *Service) Degraded() bool { return s.breaker.State() != resilience.Closed }
+// Degraded is always false: nothing can fail the aggregation path that
+// Ingest has not already refused. It stays because the bench harness
+// wires it as a readiness check.
+func (s *Service) Degraded() bool { return false }
 
 // QueueDepth returns the frames currently queued.
 func (s *Service) QueueDepth() int { return len(s.queue) }
@@ -245,14 +229,6 @@ func (s *Service) Ingest(f IngestFrame) error {
 	if f.CenterHz-f.SampleRate/2 >= gc.HighHz || f.CenterHz+f.SampleRate/2 <= gc.LowHz {
 		s.m.framesShed.With(shedBand).Inc()
 		return ErrOutOfBand
-	}
-	if s.breaker.State() == resilience.Open {
-		// The aggregation path is known-broken: shed at the door instead
-		// of queueing work that will be dropped. State() (not Allow())
-		// so ingest never consumes the half-open probe budget — recovery
-		// is probed by the dispatcher, which owns the guarded call.
-		s.m.framesShed.With(shedDegraded).Inc()
-		return ErrDegraded
 	}
 	now := s.clk.Now()
 	at := f.At
@@ -339,17 +315,10 @@ func (s *Service) fill(batch []*frameTask) []*frameTask {
 	return batch
 }
 
-// runBatch runs one formed batch: breaker gate, parallel batched FFT,
-// parallel aggregation fold over the same chunks.
+// runBatch runs one formed batch: parallel batched FFT, then parallel
+// aggregation fold over the same chunks.
 func (s *Service) runBatch(batch []*frameTask, jobs []Job) {
 	if len(batch) == 0 {
-		return
-	}
-	if err := s.breaker.Allow(); err != nil {
-		for _, t := range batch {
-			s.m.framesShed.With(shedDegraded).Inc()
-			s.finishTask(t)
-		}
 		return
 	}
 	s.m.batches.Inc()
@@ -406,8 +375,8 @@ func (s *Service) runBatch(batch []*frameTask, jobs []Job) {
 	// approximate — see the Service doc comment: every fold target
 	// accumulates commutatively under its own lock, so chunk order cannot
 	// change the surface. Per-chunk errors land in a dispatcher-owned
-	// slice and the lowest-index one wins, so the error the breaker
-	// records is independent of scheduling (same rule as pipeline.Run).
+	// slice and the lowest-index one wins, so the error the spans record
+	// is independent of scheduling (same rule as pipeline.Run).
 	if batchSpan != nil {
 		_, foldSpan = obs.StartSpan(ctx, "stream.fold")
 	}
@@ -434,8 +403,9 @@ func (s *Service) runBatch(batch []*frameTask, jobs []Job) {
 			}
 		}
 	} else {
+		// The engine refuses only frames Ingest already refuses.
 		for range batch {
-			s.m.framesShed.With(shedDegraded).Inc()
+			s.m.framesShed.With(shedMalformed).Inc()
 		}
 	}
 	now := s.clk.Now()
@@ -444,7 +414,6 @@ func (s *Service) runBatch(batch []*frameTask, jobs []Job) {
 	foldSpan.End()
 	batchSpan.SetError(err)
 	batchSpan.End()
-	s.breaker.Record(err)
 	for _, t := range batch {
 		s.m.frameLatency.Observe(now.Sub(t.enqueued).Seconds())
 		s.finishTask(t)

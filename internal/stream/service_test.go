@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"sensorcal/internal/obs"
-	"sensorcal/internal/resilience"
 )
 
 func testConfig() Config {
@@ -176,37 +175,6 @@ func TestIngestBackpressure(t *testing.T) {
 	if err := s.Ingest(good("a")); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("queue full: %v", err)
 	}
-}
-
-// TestBreakerShedsDegraded pins the breaker path: persistent fold
-// failures trip it open and ingest sheds with ErrDegraded.
-func TestBreakerShedsDegraded(t *testing.T) {
-	cfg := testConfig()
-	cfg.Breaker = resilience.NewBreaker(resilience.BreakerConfig{
-		Name: "test", FailureThreshold: 2, OpenFor: time.Hour,
-	})
-	s, err := NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.foldHook = func() error { return errors.New("aggregation down") }
-
-	frame := randFrame(64, 2)
-	for i := 0; i < 10; i++ {
-		err := s.Ingest(IngestFrame{Sensor: "a", CenterHz: 600e6, SampleRate: 2.4e6, IQ: frame})
-		if errors.Is(err, ErrDegraded) {
-			if !s.Degraded() {
-				t.Fatal("shed degraded but Degraded() false")
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("unexpected ingest error: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("breaker never opened after persistent fold failures")
 }
 
 // TestHTTPStreamAndOccupancy exercises the wire surface end to end:

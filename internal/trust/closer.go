@@ -33,10 +33,8 @@ type CloserConfig struct {
 	// collector's own CloseEpochs. spectrumd substitutes its
 	// replica-aware pass (coordinator merge-close or follower no-op)
 	// plus persistence.
+	// The closer discards the anomalies a pass returns.
 	Run func(cutoff time.Time) []Anomaly
-	// OnAnomalies, when non-nil, receives each pass's non-empty anomaly
-	// list — the logging/alerting hook.
-	OnAnomalies func([]Anomaly)
 }
 
 // Closer is a running background epoch closer.
@@ -83,10 +81,7 @@ func (c *Collector) StartCloser(cfg CloserConfig) *Closer {
 			case <-after(cfg.Interval):
 			case <-cl.kick:
 			}
-			anomalies := run(now().Add(-cfg.Lag))
-			if cfg.OnAnomalies != nil && len(anomalies) > 0 {
-				cfg.OnAnomalies(anomalies)
-			}
+			run(now().Add(-cfg.Lag))
 		}
 	}()
 	return cl
